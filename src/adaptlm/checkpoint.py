@@ -10,6 +10,7 @@ sorted name order so identical stores serialize identically.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from typing import IO
 
@@ -20,6 +21,7 @@ from .errors import CorruptionError, FormatError
 
 MAGIC = b"MBRT"
 FORMAT_VERSION = 1
+_READ_CHUNK = 1 << 24
 
 _INT_FIELDS = ("vocab_size", "hidden", "layers", "heads", "ff_dim", "max_positions", "seed")
 _FLOAT_FIELDS = ("layernorm_epsilon", "init_std", "dropout")
@@ -99,10 +101,25 @@ def save_checkpoint_file(store: WeightStore, path) -> int:
 
 
 def _read_exact(source: IO[bytes], n: int, what: str) -> bytes:
-    data = source.read(n)
-    if len(data) != n:
-        raise CorruptionError(f"truncated stream while reading {what}")
-    return data
+    # bounded reads: a stream read asked for n bytes may allocate n up front
+    chunks = []
+    while n > 0:
+        chunk = source.read(min(n, _READ_CHUNK))
+        if not chunk:
+            raise CorruptionError(f"truncated stream while reading {what}")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _stream_end(source: IO[bytes]) -> int | None:
+    """Offset of the end of a seekable stream, None for one that cannot seek."""
+    if not source.seekable():
+        return None
+    here = source.tell()
+    end = source.seek(0, io.SEEK_END)
+    source.seek(here)
+    return end
 
 
 def load_checkpoint(source: IO[bytes]) -> WeightStore:
@@ -120,6 +137,7 @@ def load_checkpoint(source: IO[bytes]) -> WeightStore:
         raise FormatError(f"config text is not UTF-8: {e}") from None
     config, metadata = _parse_config_text(cfg_text)
     want = expected_shapes(config)
+    end = _stream_end(source)
 
     (count,) = struct.unpack("<I", _read_exact(source, 4, "tensor count"))
     tensors: dict[str, np.ndarray] = {}
@@ -136,10 +154,11 @@ def load_checkpoint(source: IO[bytes]) -> WeightStore:
                 raise CorruptionError(f"tensor {name} has shape {shape}, config dictates {want[name]}")
         elif not name.startswith(HEAD_PREFIX):
             raise CorruptionError(f"tensor {name} is not dictated by the embedded config")
-        n_items = 1
-        for dim in shape:
-            n_items *= dim
-        payload = _read_exact(source, 4 * n_items, f"payload of tensor {name}")
+        n_bytes = 4 * math.prod(shape)
+        if end is not None and n_bytes > end - source.tell():
+            raise CorruptionError(f"truncated stream: payload of tensor {name} declares "
+                                  f"{n_bytes} bytes, more than the stream holds")
+        payload = _read_exact(source, n_bytes, f"payload of tensor {name}")
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     missing = sorted(set(want) - set(tensors))
     if missing:

@@ -26,8 +26,8 @@ from .checkpoint import load_checkpoint_file, save_checkpoint_file
 from .config import (OUTPUT_ROOT_ENV, Section, apply_overrides, load_config,
                      resolve_out, resolve_seed)
 from .data import (LabeledSentence, RelationLabelSet, bioasq_to_extractive,
-                   load_ner_dataset, parse_conll, parse_qa_json, parse_re_tsv,
-                   read_bioasq_questions, write_conll, write_qa_json)
+                   load_json, load_ner_dataset, open_text, parse_conll, parse_qa_json,
+                   parse_re_tsv, read_bioasq_questions, write_conll, write_qa_json)
 from .encoder import EncoderConfig
 from .errors import ConfigError, FormatError, InputError, ToolkitError
 from .fixtures import FixtureRecipe, generate_fixtures, parse_recipe
@@ -301,8 +301,7 @@ def _evaluate_prediction_files(task, section, labels, provenance) -> EvalReport:
         report.add_dataset(name, {"precision": p, "recall": r, "f1": f1}, counts)
         return report
     gold = parse_qa_json(gold_path)
-    with open(pred_path, encoding="utf-8") as f:
-        ranked_by_id = json.load(f)
+    ranked_by_id = load_json(pred_path)
     ranked = [ranked_by_id.get(ex.id, []) for ex in gold]
     strict, lenient, mrr, tallies = qa_metrics(ranked, [list(ex.gold_answers) for ex in gold])
     report = EvalReport(task="qa", provenance=provenance)
@@ -338,8 +337,7 @@ def cmd_convert(args, cfg) -> int:
         if not args.passages:
             raise ConfigError("bioasq -> squad conversion needs --passages")
         questions = read_bioasq_questions(args.input)
-        with open(args.passages, encoding="utf-8") as f:
-            passages = json.load(f)
+        passages = load_json(args.passages)
         examples, dropped, skipped = bioasq_to_extractive(questions, passages)
         write_qa_json(examples, out_path)
         _say(f"converted {len(examples)} examples; dropped {dropped} unanswerable "
@@ -356,16 +354,15 @@ def cmd_corpus_stats(args, cfg) -> int:
     n_subtokens = 0
     n_split = 0
     n_unk = 0
-    with open(args.corpus, encoding="utf-8") as f:
-        for line in f:
-            for word, _, _ in basic_tokenize(line.rstrip("\n")):
-                pieces = wordpiece_split(word, vocab)
-                n_words += 1
-                n_subtokens += len(pieces)
-                if len(pieces) > 1:
-                    n_split += 1
-                if pieces == [UNK]:
-                    n_unk += 1
+    for line in open_text(args.corpus):
+        for word, _, _ in basic_tokenize(line.rstrip("\n")):
+            pieces = wordpiece_split(word, vocab)
+            n_words += 1
+            n_subtokens += len(pieces)
+            if len(pieces) > 1:
+                n_split += 1
+            if pieces == [UNK]:
+                n_unk += 1
     stats = {
         "words": n_words,
         "subtokens": n_subtokens,

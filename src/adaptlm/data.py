@@ -7,6 +7,7 @@ parses back to the same records.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -75,6 +76,20 @@ class QAExample:
             object.__setattr__(self, "gold_answers", tuple(t for t, _ in self.answers))
 
 
+def open_text(path) -> io.StringIO:
+    """A UTF-8 text file as a line-iterable stream with universal newlines.
+
+    Undecodable bytes raise FormatError naming the file and line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}: line {line} is not valid UTF-8 ({e.reason})") from None
+    return io.StringIO(text, newline=None)
+
+
 # ---------------------------------------------------------------------------
 # CoNLL
 # ---------------------------------------------------------------------------
@@ -89,8 +104,7 @@ def parse_conll(stream, scheme: str = "bioes", lenient: bool = False,
     called when provided.
     """
     if isinstance(stream, (str, os.PathLike)):
-        with open(stream, encoding="utf-8") as f:
-            return parse_conll(f, scheme, lenient, warn)
+        return parse_conll(open_text(stream), scheme, lenient, warn)
     if scheme not in ("bioes", "bio"):
         raise FormatError(f"unknown tag scheme {scheme!r}")
     sentences = []
@@ -164,8 +178,7 @@ def load_ner_dataset(stream, scheme: str = "bioes", lenient: bool = False) -> li
 def parse_re_tsv(stream, labels: RelationLabelSet) -> list[RelationExample]:
     """Tab-separated id, sentence, label; optional header (first cell "id")."""
     if isinstance(stream, (str, os.PathLike)):
-        with open(stream, encoding="utf-8") as f:
-            return parse_re_tsv(f, labels)
+        return parse_re_tsv(open_text(stream), labels)
     examples = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
@@ -203,7 +216,7 @@ def write_re_tsv(examples: list[RelationExample], sink) -> None:
 
 def parse_qa_json(source) -> list[QAExample]:
     """Read data -> paragraphs -> qas with id/question/answers{text, answer_start}."""
-    doc = _load_json(source)
+    doc = load_json(source)
     try:
         examples = []
         for article in doc["data"]:
@@ -269,7 +282,7 @@ def normalized_occurrences(passage: str, answer: str,
 
 
 def read_bioasq_questions(source) -> list[dict]:
-    doc = _load_json(source)
+    doc = load_json(source)
     if "questions" not in doc or not isinstance(doc["questions"], list):
         raise FormatError("BioASQ JSON must contain a 'questions' list")
     return doc["questions"]
@@ -320,13 +333,18 @@ def bioasq_to_extractive(questions: list[dict], passages: dict[str, str],
     return examples, dropped, skipped
 
 
-def _load_json(source):
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as f:
-            return json.load(f)
+def load_json(source):
+    """A parsed JSON document from a path or text stream (a dict or list
+    passes through); undecodable or malformed input raises FormatError."""
     if isinstance(source, (dict, list)):
         return source
-    return json.load(source)
+    where = "stream"
+    if isinstance(source, (str, os.PathLike)):
+        where, source = source, open_text(source)
+    try:
+        return json.load(source)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{where}: malformed JSON: {e}") from None
 
 
 def _dump_json(doc, sink):

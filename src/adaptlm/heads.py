@@ -30,6 +30,7 @@ from .vocab import CLS, SEP, Vocabulary
 
 GRID_BATCH_SIZES = (10, 16, 32, 64)
 GRID_LEARNING_RATES = (5e-5, 3e-5, 1e-5)
+EVAL_BATCH_SIZE = 32  # rows per inference forward
 
 TASKS = ("ner", "re", "qa")
 
@@ -184,20 +185,20 @@ def extract_span(start_logits: np.ndarray, end_logits: np.ndarray,
     Returns (best, top-n_best ranked list); the ranked list breaks score ties
     by lowest (i, j). Raises NoAnswerError when no admissible pair exists.
     """
-    ok = admissible_positions(encoded)
-    positions = np.flatnonzero(ok)
-    scored: list[tuple[float, int, int]] = []
-    for i in positions:
-        limit = i + max_answer_subtokens
-        for j in positions[(positions >= i) & (positions < limit)]:
-            scored.append((float(start_logits[i] + end_logits[j]), int(i), int(j)))
-    if not scored:
+    pos = np.flatnonzero(admissible_positions(encoded))
+    gap = pos[None, :] - pos[:, None]
+    rows, cols = np.nonzero((gap >= 0) & (gap < max_answer_subtokens))
+    if rows.size == 0:
         raise NoAnswerError("no admissible (start, end) pair; passage may be fully truncated")
-    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
     if encoded.text_b is None:
         raise InputError("encoded input has no passage text to recover answers from")
-    ranked = [SpanPrediction(i, j, encoded.text_b[encoded.offsets[i][0]:encoded.offsets[j][1]], s)
-              for s, i, j in scored[:n_best]]
+    i, j = pos[rows], pos[cols]
+    scores = start_logits[i] + end_logits[j]
+    top = np.lexsort((j, i, -scores))[:n_best]
+    ranked = [SpanPrediction(int(i[k]), int(j[k]),
+                             encoded.text_b[encoded.offsets[i[k]][0]:encoded.offsets[j[k]][1]],
+                             float(scores[k]))
+              for k in top]
     return ranked[0], ranked
 
 
@@ -372,47 +373,52 @@ def _prepare_qa_training(examples, vocab, config):
     return items
 
 
+def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head,
+                    batch_size: int = EVAL_BATCH_SIZE):
+    """head(hidden) row by row for every encoding, in order, computed by
+    inference forwards of at most batch_size rows each."""
+    for lo in range(0, len(encodings), batch_size):
+        out = forward_arrays(weights, *batch_arrays(encodings[lo:lo + batch_size]))
+        yield from head(out.hidden)
+
+
 def predict_ner(weights: WeightStore, sentences: list[LabeledSentence],
                 vocab: Vocabulary, scheme: TagScheme, max_len: int,
-                batch_size: int = 32) -> list[list[str]]:
+                batch_size: int = EVAL_BATCH_SIZE) -> list[list[str]]:
     encodings = [encode_sequence(" ".join(s.words), None, vocab, max_len)
                  for s in sentences]
-    out_tags = []
-    for i in range(0, len(encodings), batch_size):
-        chunk = encodings[i:i + batch_size]
-        out = forward_arrays(weights, *batch_arrays(chunk))
-        logits = ner_forward(out.hidden, weights)
-        for j, enc in enumerate(chunk):
-            out_tags.append(ner_decode(logits[j], enc, scheme,
-                                       len(sentences[i + j].words)))
-    return out_tags
+    logits = _batched_logits(weights, encodings,
+                             lambda hidden: ner_forward(hidden, weights), batch_size)
+    return [ner_decode(row, enc, scheme, len(s.words))
+            for row, enc, s in zip(logits, encodings, sentences)]
 
 
 def predict_re(weights: WeightStore, examples: list[RelationExample],
                vocab: Vocabulary, labels: RelationLabelSet, max_len: int,
-               batch_size: int = 32) -> list[str]:
+               batch_size: int = EVAL_BATCH_SIZE) -> list[str]:
     encodings = [encode_sequence(ex.sentence, None, vocab, max_len) for ex in examples]
-    preds = []
-    for i in range(0, len(encodings), batch_size):
-        out = forward_arrays(weights, *batch_arrays(encodings[i:i + batch_size]))
-        logits = re_forward(np.ascontiguousarray(out.hidden[:, 0]), weights, labels)
-        preds.extend(labels.labels[int(k)] for k in logits.argmax(axis=1))
-    return preds
+    logits = _batched_logits(
+        weights, encodings,
+        lambda hidden: re_forward(np.ascontiguousarray(hidden[:, 0]), weights, labels),
+        batch_size)
+    return [labels.labels[int(np.argmax(row))] for row in logits]
 
 
 def predict_qa(weights: WeightStore, examples: list[QAExample], vocab: Vocabulary,
                config: FinetuneConfig) -> list[list[str]]:
     """Ranked answer strings per example, merged across windows and deduped
-    by normalized text."""
+    by normalized text. The windows of all examples share batched forwards."""
+    windows = [encode_windows(ex.question, ex.passage, vocab, config.max_len,
+                              config.doc_stride) for ex in examples]
+    logits = _batched_logits(weights, [w for ex_windows in windows for w in ex_windows],
+                             lambda hidden: head_logits(hidden, weights, "qa"))
     ranked_all = []
-    for ex in examples:
+    for ex_windows in windows:
         candidates: list[SpanPrediction] = []
-        for window in encode_windows(ex.question, ex.passage, vocab,
-                                     config.max_len, config.doc_stride):
-            out = forward_arrays(weights, *batch_arrays([window]))
-            start_logits, end_logits = qa_forward(out.hidden, weights)
+        for window in ex_windows:
+            row = next(logits)
             try:
-                _, ranked = extract_span(start_logits[0], end_logits[0], window,
+                _, ranked = extract_span(row[:, 0], row[:, 1], window,
                                          config.max_answer_subtokens, config.n_best)
             except NoAnswerError:
                 continue

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import kernels
 from .checkpoint import save_checkpoint_file
+from .data import open_text
 from .encoder import (EncoderConfig, WeightStore, backward_arrays, forward_arrays,
                       init_weights, zero_grads)
 from .errors import ConfigError, InputError, TransferError
@@ -190,8 +191,7 @@ def mlm_step_grads(masked: MaskedBatch, weights: WeightStore, *,
 def read_corpus(source) -> list[list[str]]:
     """Documents as lists of sentence strings, from a path, file or iterable."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as f:
-            return read_corpus(f)
+        return read_corpus(open_text(source))
     docs: list[list[str]] = []
     current: list[str] = []
     for raw in source:

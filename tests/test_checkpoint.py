@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from adaptlm.checkpoint import (FORMAT_VERSION, load_checkpoint,
+from adaptlm.checkpoint import (FORMAT_VERSION, load_checkpoint, load_checkpoint_file,
                                 roundtrip_bytes, save_checkpoint)
 from adaptlm.encoder import EncoderConfig, init_head, init_weights
 from adaptlm.errors import CorruptionError, FormatError
@@ -111,6 +111,53 @@ def test_missing_tensor_is_corruption_error():
     data[count_at:count_at + 4] = (count - 1).to_bytes(4, "little")
     with pytest.raises(CorruptionError, match="missing|truncated"):
         load_checkpoint(io.BytesIO(bytes(data)))
+
+
+def _with_head_dims(dims):
+    """Checkpoint bytes whose head.qa.weight declares the given dims."""
+    store = _store()
+    store.tensors.update(init_head(store.config, "qa", 2, seed=3))
+    data = bytearray(roundtrip_bytes(store))
+    name = b"head.qa.weight"
+    at = data.find(name) + len(name) + 4  # skip the rank
+    for k, dim in enumerate(dims):
+        data[at + 8 * k:at + 8 * (k + 1)] = dim.to_bytes(8, "little")
+    return bytes(data)
+
+
+def test_overflowing_head_dims_are_corruption_error():
+    with pytest.raises(CorruptionError, match="head.qa.weight"):
+        load_checkpoint(io.BytesIO(_with_head_dims((2**40, 2**40))))
+
+
+def test_oversized_head_payload_from_file_is_corruption_error(tmp_path):
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(_with_head_dims((2**18, 2**18)))
+    with pytest.raises(CorruptionError, match="head.qa.weight"):
+        load_checkpoint_file(path)
+
+
+class _Pipe(io.RawIOBase):
+    """A readable stream that cannot seek."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        chunk = self._data.read(len(buf))
+        buf[:len(chunk)] = chunk
+        return len(chunk)
+
+
+def test_oversized_head_payload_from_pipe_is_corruption_error():
+    with pytest.raises(CorruptionError, match="head.qa.weight"):
+        load_checkpoint(io.BufferedReader(_Pipe(_with_head_dims((2**18, 2**18)))))
+    store = _store()
+    loaded = load_checkpoint(io.BufferedReader(_Pipe(roundtrip_bytes(store))))
+    assert roundtrip_bytes(loaded) == roundtrip_bytes(store)
 
 
 def test_save_returns_byte_count():

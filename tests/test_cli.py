@@ -226,6 +226,16 @@ def test_convert_malformed_input_is_data_error(tmp_path):
     assert code == 3
 
 
+def test_convert_non_utf8_input_is_data_error(tmp_path, capsys):
+    src = tmp_path / "latin1.conll"
+    src.write_bytes("WT1 B-Gene\nna\u00efve O\n\n".encode("latin-1"))
+    code = run("convert", "--from", "conll-bio", "--to", "conll-bioes",
+               "--input", str(src), "--output", str(tmp_path / "o.conll"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(src) in err and "line 2" in err
+
+
 def test_sweep_fraction_rows(tmp_path, fixture_dir):
     cfg = _write_config(tmp_path, fixture_dir, extra="""
 [sweep]

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from adaptlm.data import LabeledSentence, QAExample, RelationExample, RelationLabelSet
-from adaptlm.encoder import EncoderConfig, init_head, init_weights
+from adaptlm import heads
+from adaptlm.encoder import EncoderConfig, forward_arrays, init_head, init_weights
 from adaptlm.errors import ConfigError, InputError, NoAnswerError, TransferError
 from adaptlm.heads import (FinetuneConfig, admissible_positions, align_labels,
                            anonymize_entities, encode_windows, extract_span,
-                           filter_unanswerable, finetune, ner_decode, ner_forward,
-                           predict_ner, predict_re, qa_forward, re_forward)
-from adaptlm.metrics import spans_from_tags
+                           filter_unanswerable, finetune, head_logits, ner_decode,
+                           ner_forward, predict_ner, predict_qa, predict_re, qa_forward,
+                           re_forward)
+from adaptlm.metrics import normalize_answer, spans_from_tags
 from adaptlm.pretrain import IGNORE_LABEL, seed_stream
 from adaptlm.tags import TagScheme, is_valid_bioes
-from adaptlm.tokenizer import encode_sequence
+from adaptlm.tokenizer import batch_arrays, encode_sequence
 from adaptlm.vocab import Vocabulary
 
 SCHEME = TagScheme(("D", "G"))
@@ -159,18 +161,22 @@ def pair_encoding(toy_vocab):
     return encode_sequence("a", "b c d", toy_vocab, 12)
 
 
-def _enumerate_best(start, end, encoded, cap):
+def _enumerate_ranked(start, end, encoded, cap, n_best):
+    """Top n_best admissible (i, j) pairs by exhaustive enumeration, ordered
+    by (-score, i, j)."""
     ok = np.flatnonzero(admissible_positions(encoded))
-    best = None
+    keys = []
     for i in ok:
         for j in ok:
             if j < i or j - i + 1 > cap:
                 continue
-            score = start[i] + end[j]
-            key = (-score, i, j)
-            if best is None or key < best[0]:
-                best = (key, int(i), int(j))
-    return None if best is None else (best[1], best[2])
+            keys.append((-(start[i] + end[j]), int(i), int(j)))
+    return [(i, j) for _, i, j in sorted(keys)[:n_best]]
+
+
+def _enumerate_best(start, end, encoded, cap):
+    ranked = _enumerate_ranked(start, end, encoded, cap, 1)
+    return ranked[0] if ranked else None
 
 
 def test_extract_span_hand_example(pair_encoding):
@@ -198,14 +204,25 @@ def test_extract_span_point_mass(pair_encoding):
     assert best.text == "c"
 
 
-def test_extract_span_matches_enumeration_random(pair_encoding, rng):
-    for _ in range(300):
-        start = rng.standard_normal(12)
-        end = rng.standard_normal(12)
-        cap = int(rng.integers(1, 4))
-        best, ranked = extract_span(start, end, pair_encoding,
-                                    max_answer_subtokens=cap)
-        assert _enumerate_best(start, end, pair_encoding, cap) == (best.start, best.end)
+def test_extract_span_matches_enumeration_random(pair_encoding, toy_vocab, rng):
+    long_encoding = encode_sequence("a", " ".join("abcd"[k % 4] for k in range(12)),
+                                    toy_vocab, 24)
+    for trial in range(600):
+        encoded, length = ((pair_encoding, 12), (long_encoding, 24))[trial % 2]
+        start = rng.standard_normal(length)
+        end = rng.standard_normal(length)
+        if trial % 3:
+            # one decimal: many equal scores, so the tie-break decides
+            start, end = np.round(start, 1), np.round(end, 1)
+        if trial % 4 == 1:
+            start, end = start.astype(np.float32), end.astype(np.float32)
+        cap = int(rng.integers(1, 8))
+        n_best = int(rng.integers(1, 12))
+        best, ranked = extract_span(start, end, encoded,
+                                    max_answer_subtokens=cap, n_best=n_best)
+        assert _enumerate_best(start, end, encoded, cap) == (best.start, best.end)
+        assert ([(r.start, r.end) for r in ranked]
+                == _enumerate_ranked(start, end, encoded, cap, n_best))
         scores = [r.score for r in ranked]
         assert scores == sorted(scores, reverse=True)
 
@@ -381,6 +398,56 @@ def test_finetune_qa_with_intermediate_phase_logged(ft_vocab, ft_init):
     assert epochs_by_phase["intermediate"] == [1, 2, 3, 4]
     assert epochs_by_phase["target"] == [1, 2, 3, 4]
     assert result.report.task == "qa"
+
+
+def _merged_answers(candidates, n_best):
+    candidates.sort(key=lambda sp: (-sp.score, sp.start, sp.end))
+    answers = []
+    for cand in candidates:
+        if normalize_answer(cand.text) not in map(normalize_answer, answers):
+            answers.append(cand.text)
+    return answers[:n_best]
+
+
+def test_predict_qa_batches_windows_across_examples(ft_vocab, ft_init, monkeypatch):
+    weights = ft_init.clone()
+    weights.tensors.update(init_head(weights.config, "qa", 2, seed=7))
+    config = _ft_config(max_len=12, doc_stride=2, n_best=3, max_answer_subtokens=4)
+    words = ["aa", "ab", "bb", "abc", "cc", "dd"]
+    examples = [QAExample(f"q{n}", "a b ?", " ".join(words[k % 6] for k in range(n)))
+                for n in (3, 40, 9, 25, 7)]
+    windows = [encode_windows(ex.question, ex.passage, ft_vocab, config.max_len,
+                              config.doc_stride) for ex in examples]
+    counts = [len(w) for w in windows]
+    assert len(set(counts)) == len(counts) and sum(counts) > heads.EVAL_BATCH_SIZE
+
+    batched = []
+
+    def recording_forward(*args, **kwargs):
+        out = forward_arrays(*args, **kwargs)
+        batched.append(out.hidden)
+        return out
+
+    monkeypatch.setattr(heads, "forward_arrays", recording_forward)
+    predicted = predict_qa(weights, examples, ft_vocab, config)
+    monkeypatch.undo()
+
+    assert [h.shape[0] for h in batched] == [heads.EVAL_BATCH_SIZE,
+                                            sum(counts) - heads.EVAL_BATCH_SIZE]
+    batched_rows = iter(head_logits(np.concatenate(batched), weights, "qa"))
+    expected = []
+    for ex_windows in windows:
+        candidates = []
+        for window in ex_windows:
+            alone = forward_arrays(weights, *batch_arrays([window])).hidden
+            logits = head_logits(alone, weights, "qa")[0]
+            np.testing.assert_allclose(next(batched_rows), logits, rtol=1e-5, atol=1e-5)
+            _, ranked = extract_span(logits[:, 0], logits[:, 1], window,
+                                     config.max_answer_subtokens, config.n_best)
+            candidates.extend(ranked)
+        expected.append(_merged_answers(candidates, config.n_best))
+    assert predicted == expected
+    assert all(answers for answers in expected)
 
 
 def test_finetune_qa_learns_toy_task(ft_vocab, ft_init):
