@@ -15,8 +15,8 @@ from .tokenizer import (EncodedInput, NO_WORD, basic_tokenize, batch_arrays,
                         encode_pieces, encode_sequence, split_with_offsets,
                         wordpiece_split)
 from .encoder import (EncoderConfig, EncoderOutput, WeightStore, backward_arrays,
-                      expected_shapes, forward, forward_arrays, init_head,
-                      init_weights, scaled_attention, truncated_normal)
+                      expected_shapes, forward_arrays, init_head, init_weights,
+                      scaled_attention, train_step, truncated_normal)
 from .checkpoint import (load_checkpoint, load_checkpoint_file, save_checkpoint,
                          save_checkpoint_file)
 from .pretrain import (IGNORE_LABEL, MaskedBatch, MaskingPolicy, PretrainConfig,
@@ -31,8 +31,8 @@ from .data import (LabeledSentence, QAExample, RelationExample, RelationLabelSet
                    write_qa_json, write_re_tsv)
 from .heads import (FinetuneConfig, FinetuneResult, align_labels,
                     anonymize_entities, encode_windows, extract_span,
-                    filter_unanswerable, finetune, ner_decode, ner_forward,
-                    predict_ner, predict_qa, predict_re, qa_forward, re_forward)
+                    filter_unanswerable, finetune, ner_decode, predict_ner,
+                    predict_qa, predict_re, re_forward)
 from .metrics import (EntitySpan, EvalReport, aggregate_folds, classification_prf,
                       entity_prf, micro_average, normalize_answer, qa_metrics,
                       spans_from_tags)

@@ -302,6 +302,11 @@ def _evaluate_prediction_files(task, section, labels, provenance) -> EvalReport:
         return report
     gold = parse_qa_json(gold_path)
     ranked_by_id = load_json(pred_path)
+    if not (isinstance(ranked_by_id, dict) and all(
+            isinstance(answers, list) and all(isinstance(a, str) for a in answers)
+            for answers in ranked_by_id.values())):
+        raise FormatError(f"{pred_path}: QA predictions must be a JSON object "
+                          "mapping each question id to a list of answer strings")
     ranked = [ranked_by_id.get(ex.id, []) for ex in gold]
     strict, lenient, mrr, tallies = qa_metrics(ranked, [list(ex.gold_answers) for ex in gold])
     report = EvalReport(task="qa", provenance=provenance)

@@ -11,7 +11,8 @@ import configparser
 import os
 from pathlib import Path
 
-from .errors import ConfigError
+from .data import open_text
+from .errors import ConfigError, FormatError
 
 SECTIONS = ("global", "pretrain", "finetune", "evaluate", "sweep", "fixtures")
 
@@ -20,9 +21,13 @@ OUTPUT_ROOT_ENV = "ADAPTLM_OUT"
 
 def load_config(path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        stream = open_text(path)
+    except OSError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except FormatError as e:
+        raise ConfigError(str(e)) from None
+    parser.read_file(stream, source=str(path))
     cfg = {section: dict(parser[section]) for section in parser.sections()}
     unknown = set(cfg) - set(SECTIONS)
     if unknown:

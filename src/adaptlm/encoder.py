@@ -85,6 +85,7 @@ def expected_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
 
 HEAD_PREFIX = "head."
+IGNORE_LABEL = -100  # target of a position that no loss scores
 
 
 @dataclass
@@ -300,18 +301,10 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
     return (out, cache) if return_cache else out
 
 
-def forward(batch: list[EncodedInput], weights: WeightStore, *,
-            train: bool = False, rng: np.random.Generator | None = None,
-            return_cache: bool = False):
-    """Encode a batch of EncodedInput items (see forward_arrays)."""
-    ids, segments, mask = batch_arrays(batch)
-    return forward_arrays(weights, ids, segments, mask,
-                          train=train, rng=rng, return_cache=return_cache)
-
-
-def zero_grads(weights: WeightStore, include_heads: bool = True) -> dict[str, np.ndarray]:
+def zero_grads(weights: WeightStore) -> dict[str, np.ndarray]:
+    """Zero-filled gradients for every core tensor (head tensors excluded)."""
     return {name: np.zeros_like(arr) for name, arr in weights.tensors.items()
-            if include_heads or not name.startswith(HEAD_PREFIX)}
+            if not name.startswith(HEAD_PREFIX)}
 
 
 def backward_arrays(weights: WeightStore, cache, d_hidden,
@@ -324,7 +317,7 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
     cfg = weights.config
     t = weights.tensors
     if grads is None:
-        grads = zero_grads(weights, include_heads=False)
+        grads = zero_grads(weights)
 
     b, l, h = d_hidden.shape
     scale = weights.dtype.type(1.0 / math.sqrt(cfg.head_dim))
@@ -392,3 +385,51 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
     grads["embeddings.position"][:l] += d.sum(axis=0)
     kernels.embedding_grad(cache["segments"].reshape(-1), d2, grads["embeddings.segment"])
     return grads
+
+
+# ---------------------------------------------------------------------------
+# training step
+# ---------------------------------------------------------------------------
+
+def affine_xent(hidden, labels, weight, bias):
+    """Mean softmax cross-entropy of hidden @ weight + bias at the positions
+    where the (B, L) labels are not IGNORE_LABEL, taken in row-major order.
+
+    Returns (loss, logits, d_hidden, d_weight, d_bias); loss is 0 when no
+    position is labelled.
+    """
+    b, l, h = hidden.shape
+    flat_labels = labels.reshape(-1)
+    sel = flat_labels != IGNORE_LABEL
+    flat_hidden = hidden.reshape(b * l, h)
+    rows = np.ascontiguousarray(flat_hidden[sel])
+    logits = rows @ weight + bias
+    losses, d_logits = kernels.softmax_xent(np.ascontiguousarray(logits), flat_labels[sel])
+    n = rows.shape[0]
+    d_logits /= max(n, 1)
+    d_hidden = np.zeros_like(flat_hidden)
+    d_hidden[sel] = d_logits @ weight.T
+    loss = float(losses.mean()) if n else 0.0
+    return loss, logits, d_hidden.reshape(b, l, h), rows.T @ d_logits, d_logits.sum(axis=0)
+
+
+def train_step(weights: WeightStore, inputs: list[EncodedInput], head, *,
+               train: bool = True, rng: np.random.Generator | None = None):
+    """Loss and gradients of one batch: forward, task head, backward.
+
+    head(hidden) returns (loss, d_hidden, head_grads), where head_grads maps
+    the tensors the head reads (its own head.<task>.* tensors, or core ones
+    such as the tied token embeddings) to their gradients. Returns
+    (loss, grads), loss as the head returned it: grads covers every core
+    tensor plus those the head named, so other tasks' head tensors get no
+    gradient and no update.
+    """
+    out, cache = forward_arrays(weights, *batch_arrays(inputs),
+                                train=train, rng=rng, return_cache=True)
+    loss, d_hidden, head_grads = head(out.hidden)
+    grads = zero_grads(weights)
+    for name, grad in head_grads.items():
+        grads.setdefault(name, np.zeros_like(grad))
+        grads[name] += grad
+    backward_arrays(weights, cache, d_hidden, grads)
+    return loss, grads

@@ -2,9 +2,11 @@
 relation classification on the position-0 vector, and start/end span
 extraction, each a single affine layer on encoder outputs.
 
-Fine-tuning trains the head plus all encoder weights end to end and keeps
-the checkpoint with the best dev metric (micro-F1 for tagging and relation
-classification, MRR for span extraction).
+Fine-tuning trains the head plus all encoder weights end to end through
+encoder.train_step and keeps the checkpoint with the best dev metric
+(micro-F1 for tagging and relation classification, MRR for span
+extraction). Other tasks' head tensors carried by the initial weights pass
+through unchanged.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import numpy as np
 
 from . import kernels
 from .data import LabeledSentence, QAExample, RelationExample, RelationLabelSet
-from .encoder import (HEAD_PREFIX, WeightStore, backward_arrays, forward_arrays,
-                      init_head, zero_grads)
+from .encoder import (HEAD_PREFIX, IGNORE_LABEL, WeightStore, affine_xent,
+                      forward_arrays, init_head, train_step)
 from .errors import ConfigError, InputError, NoAnswerError, TransferError
 from .metrics import (EvalReport, classification_prf, entity_prf,
                       normalize_answer, qa_metrics, spans_from_tags)
 from .optimizer import AdamW, linear_schedule
-from .pretrain import IGNORE_LABEL, seed_stream
+from .pretrain import seed_stream
 from .tags import TagScheme, repair_bioes
 from .tokenizer import (EncodedInput, NO_WORD, batch_arrays, encode_sequence,
                         split_with_offsets)
@@ -97,11 +99,6 @@ def head_logits(hidden: np.ndarray, weights: WeightStore, task: str) -> np.ndarr
     return hidden @ w + b
 
 
-def ner_forward(hidden: np.ndarray, weights: WeightStore) -> np.ndarray:
-    """Per-position tag logits, shape (batch, length, n_tags)."""
-    return head_logits(hidden, weights, "ner")
-
-
 def ner_decode(logits: np.ndarray, encoded: EncodedInput, scheme: TagScheme,
                n_words: int) -> list[str]:
     """Word-level tags from per-position logits.
@@ -163,12 +160,6 @@ class SpanPrediction(NamedTuple):
     end: int    # inclusive subtoken index
     text: str
     score: float
-
-
-def qa_forward(hidden: np.ndarray, weights: WeightStore):
-    """(start logits, end logits) per position, each (batch, length)."""
-    logits = head_logits(hidden, weights, "qa")
-    return logits[..., 0], logits[..., 1]
 
 
 def admissible_positions(encoded: EncodedInput) -> np.ndarray:
@@ -274,71 +265,46 @@ def _check_vocab(init: WeightStore, vocab: Vocabulary):
         raise TransferError(f"checkpoint vocab_size {init.config.vocab_size} != {len(vocab)}")
 
 
-def _ner_batch_grads(weights, encodings, labels, rng):
-    ids, segments, mask = batch_arrays(encodings)
-    out, cache = forward_arrays(weights, ids, segments, mask, train=True,
-                                rng=rng, return_cache=True)
-    b, l, h = out.hidden.shape
-    flat_hidden = out.hidden.reshape(b * l, h)
-    flat_labels = np.concatenate(labels)
-    sel = flat_labels != IGNORE_LABEL
-    rows = np.ascontiguousarray(flat_hidden[sel])
-    n = rows.shape[0]
-    if n == 0:
-        return 0.0, zero_grads(weights)
-    logits = head_logits(rows, weights, "ner")
-    losses, dlogits = kernels.softmax_xent(np.ascontiguousarray(logits), flat_labels[sel])
-    dlogits /= n
-    grads = zero_grads(weights)
-    grads[f"{HEAD_PREFIX}ner.weight"] += rows.T @ dlogits
-    grads[f"{HEAD_PREFIX}ner.bias"] += dlogits.sum(axis=0)
-    d_hidden = np.zeros_like(flat_hidden)
-    d_hidden[sel] = dlogits @ weights.tensors[f"{HEAD_PREFIX}ner.weight"].T
-    backward_arrays(weights, cache, d_hidden.reshape(b, l, h), grads)
-    return float(losses.mean()), grads
+def _task_head(weights: WeightStore, task: str, encodings, targets):
+    """The head(hidden) of one fine-tuning batch, for train_step.
 
+    NER and RE score their affine layer with cross-entropy at labelled
+    positions: first subtokens for NER, position 0 for RE. QA scores start and
+    end positions with two softmaxes over each window's admissible positions,
+    averaged over both ends and the batch.
+    """
+    names = (f"{HEAD_PREFIX}{task}.weight", f"{HEAD_PREFIX}{task}.bias")
+    w, bias = (weights.tensors[name] for name in names)
+    if task == "qa":
+        spans = np.asarray(targets, dtype=np.int64)
+        admissible = np.stack([admissible_positions(e) for e in encodings])
 
-def _re_batch_grads(weights, encodings, label_ids, rng):
-    ids, segments, mask = batch_arrays(encodings)
-    out, cache = forward_arrays(weights, ids, segments, mask, train=True,
-                                rng=rng, return_cache=True)
-    pooled = np.ascontiguousarray(out.hidden[:, 0])
-    logits = head_logits(pooled, weights, "re")
-    losses, dlogits = kernels.softmax_xent(np.ascontiguousarray(logits),
-                                           np.asarray(label_ids, dtype=np.int64))
-    n = pooled.shape[0]
-    dlogits /= n
-    grads = zero_grads(weights)
-    grads[f"{HEAD_PREFIX}re.weight"] += pooled.T @ dlogits
-    grads[f"{HEAD_PREFIX}re.bias"] += dlogits.sum(axis=0)
-    d_hidden = np.zeros_like(out.hidden)
-    d_hidden[:, 0] = dlogits @ weights.tensors[f"{HEAD_PREFIX}re.weight"].T
-    backward_arrays(weights, cache, d_hidden, grads)
-    return float(losses.mean()), grads
+        def span_head(hidden):
+            b, l, h = hidden.shape
+            logits = hidden @ w + bias
+            mask = np.where(admissible, hidden.dtype.type(0), hidden.dtype.type(-1e9))
+            loss = 0.0
+            d_cols = []
+            for col in (0, 1):  # start, end
+                losses, d = kernels.softmax_xent(
+                    np.ascontiguousarray(logits[..., col] + mask), spans[:, col])
+                loss += float(losses.mean()) / 2.0
+                d_cols.append(d / (2 * b))
+            d_logits = np.stack(d_cols, axis=-1)  # (B, L, 2)
+            d_w = hidden.reshape(b * l, h).T @ d_logits.reshape(b * l, 2)
+            return loss, d_logits @ w.T, dict(zip(names, (d_w, d_logits.sum(axis=(0, 1)))))
+        return span_head
 
+    if task == "ner":
+        labels = np.stack(targets)
+    else:
+        labels = np.full((len(targets), len(encodings[0])), IGNORE_LABEL, dtype=np.int64)
+        labels[:, 0] = targets
 
-def _qa_batch_grads(weights, encodings, start_targets, end_targets, rng):
-    ids, segments, mask = batch_arrays(encodings)
-    out, cache = forward_arrays(weights, ids, segments, mask, train=True,
-                                rng=rng, return_cache=True)
-    b, l, h = out.hidden.shape
-    start_logits, end_logits = qa_forward(out.hidden, weights)
-    bias = np.where(np.stack([admissible_positions(e) for e in encodings]),
-                    out.hidden.dtype.type(0), out.hidden.dtype.type(-1e9))
-    d_cols = []
-    loss_total = 0.0
-    for logits, targets in ((start_logits, start_targets), (end_logits, end_targets)):
-        losses, dlog = kernels.softmax_xent(np.ascontiguousarray(logits + bias),
-                                            np.asarray(targets, dtype=np.int64))
-        loss_total += float(losses.mean()) / 2.0
-        d_cols.append(dlog / (2 * b))
-    grads = zero_grads(weights)
-    d_logits = np.stack(d_cols, axis=-1)  # (B, L, 2)
-    w = weights.tensors[f"{HEAD_PREFIX}qa.weight"]
-    grads[f"{HEAD_PREFIX}qa.weight"] += out.hidden.reshape(b * l, h).T @ d_logits.reshape(b * l, 2)
-    grads[f"{HEAD_PREFIX}qa.bias"] += d_logits.sum(axis=(0, 1))
-    backward_arrays(weights, cache, d_logits @ w.T, grads)
-    return loss_total, grads
+    def label_head(hidden):
+        loss, _, d_hidden, d_w, d_b = affine_xent(hidden, labels, w, bias)
+        return loss, d_hidden, dict(zip(names, (d_w, d_b)))
+    return label_head
 
 
 def _char_span_to_subtokens(encoded: EncodedInput, char_start: int, char_end: int):
@@ -358,7 +324,7 @@ def _char_span_to_subtokens(encoded: EncodedInput, char_start: int, char_end: in
 
 
 def _prepare_qa_training(examples, vocab, config):
-    """(encoding, start, end) triples for every window containing a gold span."""
+    """(window, (start, end)) pairs for every window containing a gold span."""
     items = []
     for ex in examples:
         for window in encode_windows(ex.question, ex.passage, vocab,
@@ -369,7 +335,7 @@ def _prepare_qa_training(examples, vocab, config):
                 if target is not None:
                     break
             if target is not None:
-                items.append((window, target[0], target[1]))
+                items.append((window, target))
     return items
 
 
@@ -388,7 +354,7 @@ def predict_ner(weights: WeightStore, sentences: list[LabeledSentence],
     encodings = [encode_sequence(" ".join(s.words), None, vocab, max_len)
                  for s in sentences]
     logits = _batched_logits(weights, encodings,
-                             lambda hidden: ner_forward(hidden, weights), batch_size)
+                             lambda hidden: head_logits(hidden, weights, "ner"), batch_size)
     return [ner_decode(row, enc, scheme, len(s.words))
             for row, enc, s in zip(logits, encodings, sentences)]
 
@@ -562,16 +528,10 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
                 step += 1
                 lr = linear_schedule(step, total_steps, config.learning_rate,
                                      config.warmup_fraction)
-                if task == "ner":
-                    loss, grads = _ner_batch_grads(weights, [c[0] for c in chunk],
-                                                   [c[1] for c in chunk], dropout_rng)
-                elif task == "re":
-                    loss, grads = _re_batch_grads(weights, [c[0] for c in chunk],
-                                                  [c[1] for c in chunk], dropout_rng)
-                else:
-                    loss, grads = _qa_batch_grads(weights, [c[0] for c in chunk],
-                                                  [c[1] for c in chunk],
-                                                  [c[2] for c in chunk], dropout_rng)
+                encodings, targets = zip(*chunk)
+                loss, grads = train_step(weights, encodings,
+                                         _task_head(weights, task, encodings, targets),
+                                         rng=dropout_rng)
                 opt.step(weights.tensors, grads, lr)
                 epoch_loss += loss
                 n_batches += 1

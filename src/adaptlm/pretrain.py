@@ -22,8 +22,8 @@ import numpy as np
 from . import kernels
 from .checkpoint import save_checkpoint_file
 from .data import open_text
-from .encoder import (EncoderConfig, WeightStore, backward_arrays, forward_arrays,
-                      init_weights, zero_grads)
+from .encoder import (IGNORE_LABEL, EncoderConfig, WeightStore, affine_xent,
+                      expected_shapes, forward_arrays, init_weights, train_step)
 from .errors import ConfigError, InputError, TransferError
 from .optimizer import AdamW, linear_schedule
 from .tokenizer import EncodedInput, basic_tokenize, batch_arrays, encode_pieces, wordpiece_split
@@ -31,8 +31,6 @@ from .vocab import Vocabulary
 
 REFERENCE_PRETRAIN_BATCH = 192
 REFERENCE_MAX_SEQUENCE_LEN = 512
-
-IGNORE_LABEL = -100
 
 
 @dataclass(frozen=True)
@@ -159,28 +157,16 @@ def mlm_step_grads(masked: MaskedBatch, weights: WeightStore, *,
     including the tied token-embedding contribution from the output
     projection.
     """
-    ids, segments, attn_mask = batch_arrays(masked.inputs)
-    out, cache = forward_arrays(weights, ids, segments, attn_mask,
-                                train=train, rng=rng, return_cache=True)
-    n = masked.mask_positions.shape[0]
-    if n == 0:
-        return 0.0, 0.0, zero_grads(weights, include_heads=False)
-    rows, cols = masked.mask_positions[:, 0], masked.mask_positions[:, 1]
-    hidden_rows = np.ascontiguousarray(out.hidden[rows, cols])
-    logits = mlm_logits(hidden_rows, weights)
-    targets = masked.labels[rows, cols]
-    losses, dlogits = kernels.softmax_xent(np.ascontiguousarray(logits), targets)
-    loss = float(losses.mean())
-    accuracy = float((logits.argmax(axis=1) == targets).mean())
-    dlogits /= n
+    tensors = weights.tensors
+    targets = masked.labels[masked.labels != IGNORE_LABEL]
 
-    grads = zero_grads(weights, include_heads=False)
-    token_table = weights.tensors["embeddings.token"]
-    grads["embeddings.token"] += dlogits.T @ hidden_rows
-    grads["mlm.bias"] += dlogits.sum(axis=0)
-    d_hidden = np.zeros_like(out.hidden)
-    d_hidden[rows, cols] = dlogits @ token_table
-    backward_arrays(weights, cache, d_hidden, grads)
+    def head(hidden):
+        loss, logits, d_hidden, d_weight, d_bias = affine_xent(
+            hidden, masked.labels, tensors["embeddings.token"].T, tensors["mlm.bias"])
+        accuracy = float((logits.argmax(axis=1) == targets).mean()) if targets.size else 0.0
+        return (loss, accuracy), d_hidden, {"embeddings.token": d_weight.T, "mlm.bias": d_bias}
+
+    (loss, accuracy), grads = train_step(weights, masked.inputs, head, train=train, rng=rng)
     return loss, accuracy, grads
 
 
@@ -315,7 +301,7 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
         raise ConfigError(f"max_len {config.max_len} exceeds encoder max_positions "
                           f"{weights.config.max_positions}")
 
-    opt = AdamW(list(zero_grads(weights, include_heads=False)), weights.tensors,
+    opt = AdamW(list(expected_shapes(weights.config)), weights.tensors,
                 beta1=config.adam_beta1, beta2=config.adam_beta2,
                 epsilon=config.adam_epsilon, weight_decay=config.weight_decay)
     order_rng = seed_stream(config.seed, "pretrain.order")
@@ -355,7 +341,6 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
 
 
 def _shape_mismatches(a: EncoderConfig, b: EncoderConfig) -> list[str]:
-    from .encoder import expected_shapes
     sa, sb = expected_shapes(a), expected_shapes(b)
     names = sorted(set(sa) | set(sb))
     return [n for n in names if sa.get(n) != sb.get(n)]

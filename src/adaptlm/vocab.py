@@ -11,6 +11,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
+from .data import open_text
 from .errors import FormatError
 
 PAD = "[PAD]"
@@ -111,5 +112,5 @@ def load_vocabulary(stream: IO[str] | Iterable[str]) -> Vocabulary:
 
 
 def load_vocabulary_file(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as f:
-        return load_vocabulary(f)
+    """Vocabulary from a UTF-8 file; undecodable bytes raise FormatError."""
+    return load_vocabulary(open_text(path))

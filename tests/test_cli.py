@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from adaptlm.cli import main
+from adaptlm.data import parse_qa_json
 
 MINI_VOCAB = str(Path("src/adaptlm/assets/vocab_cased_mini.txt").resolve())
 
@@ -234,6 +235,48 @@ def test_convert_non_utf8_input_is_data_error(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert str(src) in err and "line 2" in err
+
+
+def test_corpus_stats_non_utf8_vocab_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("the\n")
+    vocab = tmp_path / "latin1_vocab.txt"
+    vocab.write_bytes("[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\nna\u00efve\n".encode("latin-1"))
+    code = run("corpus-stats", "--corpus", str(corpus), "--vocab", str(vocab),
+               "--out", str(tmp_path / "stats"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(vocab) in err and "line 6" in err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("the\n")
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("[global]\nseed = 1\n; caf\u00e9\n".encode("latin-1"))
+    argv = ("corpus-stats", "--corpus", str(corpus), "--vocab", MINI_VOCAB,
+            "--out", str(tmp_path / "stats"))
+    assert run(*argv, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "line 3" in err
+    assert run(*argv, "--config", str(tmp_path / "missing.cfg")) == 2
+    assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape, code", [("lists", 0), ("strings", 3), ("array", 3)])
+def test_evaluate_qa_prediction_file_shape(tmp_path, fixture_dir, shape, code):
+    gold = fixture_dir / "qa_test.json"
+    answers = {ex.id: list(ex.gold_answers) for ex in parse_qa_json(gold)}
+    doc = {"lists": answers, "strings": {k: v[0] for k, v in answers.items()},
+           "array": []}[shape]
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert run("evaluate", "--out", str(out), "--set", "evaluate.task=qa",
+               "--set", f"evaluate.gold={gold}", "--set", f"evaluate.pred={pred}") == code
+    if code == 0:
+        report = json.loads((out / "evaluate" / "report.json").read_text())
+        assert report["micro"]["strict"] == 1.0
 
 
 def test_sweep_fraction_rows(tmp_path, fixture_dir):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from adaptlm.encoder import (EncoderConfig, expected_shapes, forward, forward_arrays,
+from adaptlm.encoder import (EncoderConfig, expected_shapes, forward_arrays,
                              backward_arrays, init_weights, scaled_attention,
                              truncated_normal)
 from adaptlm.errors import ConfigError, ContractViolation, InputError
-from adaptlm.tokenizer import encode_sequence
+from adaptlm.tokenizer import batch_arrays, encode_sequence
 
 
 def test_config_validation():
@@ -113,7 +113,7 @@ def test_scaled_attention_rows_sum_to_one(rng):
 def test_forward_output_shapes(tiny_weights, toy_vocab):
     batch = [encode_sequence("a b c", None, toy_vocab, 10),
              encode_sequence("d e", None, toy_vocab, 10)]
-    out = forward(batch, tiny_weights)
+    out = forward_arrays(tiny_weights, *batch_arrays(batch))
     assert out.hidden.shape == (2, 10, 8)
     assert out.pooled.shape == (2, 8)
     np.testing.assert_allclose(out.pooled, out.hidden[:, 0])
@@ -122,8 +122,8 @@ def test_forward_output_shapes(tiny_weights, toy_vocab):
 def test_forward_padding_does_not_leak(tiny_weights, toy_vocab):
     short = encode_sequence("a b c", None, toy_vocab, 6)
     long = encode_sequence("a b c", None, toy_vocab, 12)
-    out_short = forward([short], tiny_weights)
-    out_long = forward([long], tiny_weights)
+    out_short = forward_arrays(tiny_weights, *batch_arrays([short]))
+    out_long = forward_arrays(tiny_weights, *batch_arrays([long]))
     np.testing.assert_allclose(out_short.hidden[0, :5], out_long.hidden[0, :5],
                                atol=1e-5)
 
@@ -139,8 +139,8 @@ def test_forward_rejects_bad_inputs(tiny_weights):
 
 def test_forward_deterministic(tiny_weights, toy_vocab):
     batch = [encode_sequence("a b c d", None, toy_vocab, 8)]
-    h1 = forward(batch, tiny_weights).hidden
-    h2 = forward(batch, tiny_weights).hidden
+    h1 = forward_arrays(tiny_weights, *batch_arrays(batch)).hidden
+    h2 = forward_arrays(tiny_weights, *batch_arrays(batch)).hidden
     assert np.array_equal(h1, h2)
 
 
@@ -161,12 +161,12 @@ def test_forward_permutation_equivariance(tiny_config, rng):
 def test_dropout_requires_rng_and_is_seeded(tiny_config, toy_vocab):
     cfg = EncoderConfig(**{**tiny_config.__dict__, "dropout": 0.2})
     store = init_weights(cfg)
-    batch = [encode_sequence("a b c d", None, toy_vocab, 8)]
+    arrays = batch_arrays([encode_sequence("a b c d", None, toy_vocab, 8)])
     with pytest.raises(InputError):
-        forward(batch, store, train=True)
-    h1 = forward(batch, store, train=True, rng=np.random.default_rng(3)).hidden
-    h2 = forward(batch, store, train=True, rng=np.random.default_rng(3)).hidden
-    h3 = forward(batch, store, train=True, rng=np.random.default_rng(4)).hidden
+        forward_arrays(store, *arrays, train=True)
+    h1 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(3)).hidden
+    h2 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(3)).hidden
+    h3 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(4)).hidden
     assert np.array_equal(h1, h2)
     assert not np.array_equal(h1, h3)
 

@@ -3,13 +3,13 @@ import pytest
 
 from adaptlm.data import LabeledSentence, QAExample, RelationExample, RelationLabelSet
 from adaptlm import heads
-from adaptlm.encoder import EncoderConfig, forward_arrays, init_head, init_weights
+from adaptlm.encoder import (EncoderConfig, forward_arrays, init_head, init_weights,
+                             train_step)
 from adaptlm.errors import ConfigError, InputError, NoAnswerError, TransferError
 from adaptlm.heads import (FinetuneConfig, admissible_positions, align_labels,
                            anonymize_entities, encode_windows, extract_span,
                            filter_unanswerable, finetune, head_logits, ner_decode,
-                           ner_forward, predict_ner, predict_qa, predict_re, qa_forward,
-                           re_forward)
+                           predict_ner, predict_qa, predict_re, re_forward)
 from adaptlm.metrics import normalize_answer, spans_from_tags
 from adaptlm.pretrain import IGNORE_LABEL, seed_stream
 from adaptlm.tags import TagScheme, is_valid_bioes
@@ -360,14 +360,19 @@ def test_finetune_grid_validation():
 
 
 def test_finetune_re_runs_and_reports(ft_vocab, ft_init):
+    # the init also carries an NER head, which RE fine-tuning must leave alone
+    init = ft_init.clone()
+    init.tensors.update(init_head(init.config, "ner", 9, seed=3))
     labels = RelationLabelSet(("negative", "positive"))
     examples = [RelationExample(f"r{i}", f"{'ab' if i % 2 else 'abc'} aa bb",
                                 "positive" if i % 2 else "negative")
                 for i in range(12)]
-    result = finetune("re", examples, examples, ft_init,
+    result = finetune("re", examples, examples, init,
                       _ft_config(epochs=30), ft_vocab, labels=labels)
     assert result.report.task == "re"
     assert result.report.primary_metric() >= 0.9
+    for name in ("head.ner.weight", "head.ner.bias"):
+        assert result.weights.tensors[name].tobytes() == init.tensors[name].tobytes(), name
     preds = predict_re(result.weights, examples, ft_vocab, labels, 12)
     assert len(preds) == 12
 
@@ -398,6 +403,55 @@ def test_finetune_qa_with_intermediate_phase_logged(ft_vocab, ft_init):
     assert epochs_by_phase["intermediate"] == [1, 2, 3, 4]
     assert epochs_by_phase["target"] == [1, 2, 3, 4]
     assert result.report.task == "qa"
+
+
+@pytest.mark.parametrize("task", ["ner", "re", "qa"])
+def test_train_step_head_gradients_match_finite_differences(ft_vocab, task):
+    cfg = EncoderConfig(vocab_size=len(ft_vocab), hidden=8, layers=1, heads=2, ff_dim=16,
+                        max_positions=12, dropout=0.0, init_std=0.5, seed=5)
+    store = init_weights(cfg)
+    if task == "ner":
+        scheme = TagScheme(("D",))
+        sentences = _ner_fixture(3)
+        encodings = [encode_sequence(" ".join(s.words), None, ft_vocab, 8) for s in sentences]
+        targets = [align_labels(s, e, scheme) for s, e in zip(sentences, encodings)]
+        out_dim = len(scheme)
+    elif task == "re":
+        encodings = [encode_sequence(text, None, ft_vocab, 8)
+                     for text in ("ab aa bb", "abc cc", "aa ab dd bb")]
+        targets = [1, 0, 1]
+        out_dim = 2
+    else:
+        config = _ft_config(max_len=12)
+        encodings, targets = zip(*heads._prepare_qa_training(_qa_fixture(3), ft_vocab, config))
+        out_dim = 2
+    store.tensors.update(init_head(cfg, task, out_dim, seed=9))
+    weights = store.astype(np.float64)
+    head = heads._task_head(weights, task, encodings, targets)
+    _, grads = train_step(weights, encodings, head, train=False)
+    assert set(grads) == set(weights.tensors)
+    arrays = batch_arrays(encodings)
+
+    def loss():
+        return head(forward_arrays(weights, *arrays).hidden)[0]
+
+    step = 1e-3
+    for name, analytic in grads.items():
+        arr = weights.tensors[name]
+        fd = np.zeros_like(arr)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = arr[idx]
+            arr[idx] = orig + step
+            up = loss()
+            arr[idx] = orig - step
+            down = loss()
+            arr[idx] = orig
+            fd[idx] = (up - down) / (2 * step)
+        diff = float(np.linalg.norm(analytic - fd))
+        ref = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(fd)))
+        assert diff <= 1e-8 + 1e-4 * ref, f"{name}: |d|={diff:.3e} ref={ref:.3e}"
 
 
 def _merged_answers(candidates, n_best):
