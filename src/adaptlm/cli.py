@@ -400,7 +400,7 @@ def cmd_sweep(args, cfg) -> int:
     dataset_name = section.str("dataset_name", "ner_test")
 
     if axis == "fraction":
-        values = [float(v) for v in section.floats("fractions", "0.25,0.5,1.0")]
+        values = section.floats("fractions", "0.25,0.5,1.0")
     else:
         ckpt_dir = section.path("checkpoints")
         step_files = sorted(ckpt_dir.glob("step_*.ckpt"))

@@ -27,8 +27,11 @@ def load_config(path) -> dict[str, dict[str, str]]:
         raise ConfigError(f"config file not found: {path}") from None
     except FormatError as e:
         raise ConfigError(str(e)) from None
-    parser.read_file(stream, source=str(path))
-    cfg = {section: dict(parser[section]) for section in parser.sections()}
+    try:
+        parser.read_file(stream, source=str(path))
+        cfg = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as e:
+        raise ConfigError(f"{path}: {e}") from None
     unknown = set(cfg) - set(SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
@@ -66,19 +69,19 @@ class Section:
             raise ConfigError(f"[{self.name}] is missing required key {key!r}")
         return default
 
+    def _parse(self, key: str, raw: str, kind, what: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not {what}") from None
+
     def int(self, key: str, default: int | None = None) -> int:
         raw = self.str(key, None if default is None else str(default))
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not an integer") from None
+        return self._parse(key, raw, int, "an integer")
 
     def float(self, key: str, default: float | None = None) -> float:
         raw = self.str(key, None if default is None else repr(default))
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a number") from None
+        return self._parse(key, raw, float, "a number")
 
     def bool(self, key: str, default: bool = False) -> bool:
         if not self.has(key):
@@ -97,10 +100,12 @@ class Section:
         return p
 
     def floats(self, key: str, default: str | None = None) -> list[float]:
-        return [float(x) for x in self.str(key, default).split(",") if x.strip()]
+        return [self._parse(key, x.strip(), float, "a number")
+                for x in self.str(key, default).split(",") if x.strip()]
 
     def ints(self, key: str, default: str | None = None) -> list[int]:
-        return [int(x) for x in self.str(key, default).split(",") if x.strip()]
+        return [self._parse(key, x.strip(), int, "an integer")
+                for x in self.str(key, default).split(",") if x.strip()]
 
 
 def resolve_out(flag_value: str | None, cfg: dict) -> Path:

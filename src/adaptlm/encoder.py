@@ -257,7 +257,7 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
         qh = _split_heads(q, cfg.heads)
         kh = _split_heads(k, cfg.heads)
         vh = _split_heads(v, cfg.heads)
-        scores = np.ascontiguousarray(qh @ kh.transpose(0, 1, 3, 2)) * scale
+        scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
         probs = kernels.attention_softmax(scores, key_mask)
         probs_used = probs
         attn_drop = None
@@ -272,13 +272,13 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
             attn = attn * attn_out_drop
         res1 = x + attn
         x1_flat, mean1, rstd1 = kernels.layernorm_forward(
-            np.ascontiguousarray(res1.reshape(b * l, cfg.hidden)),
+            res1.reshape(b * l, cfg.hidden),
             t[f"{p}.attention.norm.scale"], t[f"{p}.attention.norm.shift"],
             cfg.layernorm_epsilon)
         x1 = x1_flat.reshape(b, l, cfg.hidden)
 
         h1 = x1 @ t[f"{p}.ffn.intermediate"] + t[f"{p}.ffn.intermediate.bias"]
-        a = kernels.gelu_forward(np.ascontiguousarray(h1))
+        a = kernels.gelu_forward(h1)
         h2 = a @ t[f"{p}.ffn.output"] + t[f"{p}.ffn.output.bias"]
         ffn_drop = None
         if p_drop > 0.0:
@@ -286,7 +286,7 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
             h2 = h2 * ffn_drop
         res2 = x1 + h2
         x2_flat, mean2, rstd2 = kernels.layernorm_forward(
-            np.ascontiguousarray(res2.reshape(b * l, cfg.hidden)),
+            res2.reshape(b * l, cfg.hidden),
             t[f"{p}.ffn.norm.scale"], t[f"{p}.ffn.norm.shift"],
             cfg.layernorm_epsilon)
         x = x2_flat.reshape(b, l, cfg.hidden)
@@ -328,8 +328,7 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
         lc = cache["layers"][i]
 
         d_res2_flat, dg2, db2 = kernels.layernorm_backward(
-            np.ascontiguousarray(d.reshape(b * l, h)),
-            np.ascontiguousarray(lc["res2"].reshape(b * l, h)),
+            d.reshape(b * l, h), lc["res2"].reshape(b * l, h),
             t[f"{p}.ffn.norm.scale"], lc["mean2"], lc["rstd2"])
         grads[f"{p}.ffn.norm.scale"] += dg2
         grads[f"{p}.ffn.norm.shift"] += db2
@@ -340,15 +339,14 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
         grads[f"{p}.ffn.output"] += a2.T @ d_h2.reshape(b * l, h)
         grads[f"{p}.ffn.output.bias"] += d_h2.sum(axis=(0, 1))
         d_a = d_h2 @ t[f"{p}.ffn.output"].T
-        d_h1 = kernels.gelu_backward(np.ascontiguousarray(d_a), np.ascontiguousarray(lc["h1"]))
+        d_h1 = kernels.gelu_backward(d_a, lc["h1"])
         x1_2 = lc["x1"].reshape(b * l, h)
         grads[f"{p}.ffn.intermediate"] += x1_2.T @ d_h1.reshape(b * l, cfg.ff_dim)
         grads[f"{p}.ffn.intermediate.bias"] += d_h1.sum(axis=(0, 1))
         d_x1 = d_res2 + d_h1 @ t[f"{p}.ffn.intermediate"].T
 
         d_res1_flat, dg1, db1 = kernels.layernorm_backward(
-            np.ascontiguousarray(d_x1.reshape(b * l, h)),
-            np.ascontiguousarray(lc["res1"].reshape(b * l, h)),
+            d_x1.reshape(b * l, h), lc["res1"].reshape(b * l, h),
             t[f"{p}.attention.norm.scale"], lc["mean1"], lc["rstd1"])
         grads[f"{p}.attention.norm.scale"] += dg1
         grads[f"{p}.attention.norm.shift"] += db1
@@ -363,8 +361,7 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
         d_probs_used = d_ctx @ lc["vh"].transpose(0, 1, 3, 2)
         d_vh = lc["probs_used"].transpose(0, 1, 3, 2) @ d_ctx
         d_probs = d_probs_used if lc["attn_drop"] is None else d_probs_used * lc["attn_drop"]
-        d_scores = kernels.attention_softmax_backward(
-            np.ascontiguousarray(d_probs), lc["probs"]) * scale
+        d_scores = kernels.attention_softmax_backward(d_probs, lc["probs"]) * scale
         d_qh = d_scores @ lc["kh"]
         d_kh = d_scores.transpose(0, 1, 3, 2) @ lc["qh"]
 
@@ -380,7 +377,7 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
 
     if cache["emb_drop"] is not None:
         d = d * cache["emb_drop"]
-    d2 = np.ascontiguousarray(d.reshape(b * l, h))
+    d2 = d.reshape(b * l, h)
     kernels.embedding_grad(cache["ids"].reshape(-1), d2, grads["embeddings.token"])
     grads["embeddings.position"][:l] += d.sum(axis=0)
     kernels.embedding_grad(cache["segments"].reshape(-1), d2, grads["embeddings.segment"])
@@ -402,9 +399,9 @@ def affine_xent(hidden, labels, weight, bias):
     flat_labels = labels.reshape(-1)
     sel = flat_labels != IGNORE_LABEL
     flat_hidden = hidden.reshape(b * l, h)
-    rows = np.ascontiguousarray(flat_hidden[sel])
+    rows = flat_hidden[sel]
     logits = rows @ weight + bias
-    losses, d_logits = kernels.softmax_xent(np.ascontiguousarray(logits), flat_labels[sel])
+    losses, d_logits = kernels.softmax_xent(logits, flat_labels[sel])
     n = rows.shape[0]
     d_logits /= max(n, 1)
     d_hidden = np.zeros_like(flat_hidden)

@@ -286,8 +286,7 @@ def _task_head(weights: WeightStore, task: str, encodings, targets):
             loss = 0.0
             d_cols = []
             for col in (0, 1):  # start, end
-                losses, d = kernels.softmax_xent(
-                    np.ascontiguousarray(logits[..., col] + mask), spans[:, col])
+                losses, d = kernels.softmax_xent(logits[..., col] + mask, spans[:, col])
                 loss += float(losses.mean()) / 2.0
                 d_cols.append(d / (2 * b))
             d_logits = np.stack(d_cols, axis=-1)  # (B, L, 2)

@@ -1,19 +1,9 @@
-"""Hot numeric kernels, each with a numba-jitted and a pure-numpy implementation.
+"""Hot numeric kernels, vectorized in numpy.
 
 Everything here is elementwise / reduction work that dominates the non-BLAS
 part of a training step: layer norm, GELU, masked attention softmax, fused
 softmax cross-entropy, the AdamW update and embedding-gradient scatter-adds.
 Matrix products stay on numpy (BLAS) and are not wrapped.
-
-Backend selection, in order of precedence:
-  * ``set_backend("numba" | "numpy")`` at runtime,
-  * the ``ADAPTLM_NUMBA`` environment variable ("0"/"false" forces numpy,
-    "1"/"true" requires numba),
-  * default: numba when importable, numpy otherwise.
-
-Both paths compute the same quantities; tiny float differences from reduction
-order are possible, so cross-backend comparisons belong in tests, not in
-bit-identity contracts (those hold per backend).
 
 Kernels are dtype-generic: float32 in production, float64 for the
 finite-difference gradient oracle.
@@ -21,42 +11,36 @@ finite-difference gradient oracle.
 
 from __future__ import annotations
 
-import math
-import os
+import importlib.util
 
 import numpy as np
 
-from .errors import ConfigError
+# perfbench/run.py records these two as machine facts.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
-try:
-    from numba import njit, prange
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-free installs
-    HAVE_NUMBA = False
+def backend() -> str:
+    return "numpy"
+
 
 _SQRT_2_OVER_PI = 0.7978845608028654
 _GELU_CUBIC = 0.044715
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def np_gelu_forward(x):
+def gelu_forward(x):
     """tanh-approximation GELU."""
     u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x * x * x)
     return 0.5 * x * (1.0 + np.tanh(u))
 
 
-def np_gelu_backward(dy, x):
+def gelu_backward(dy, x):
     u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x * x * x)
     t = np.tanh(u)
     du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * x * x)
     return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 
 
-def np_layernorm_forward(x, gamma, beta, eps):
+def layernorm_forward(x, gamma, beta, eps):
     """Normalize rows of a (rows, hidden) array. Returns (y, mean, rstd)."""
     mean = x.mean(axis=1)
     centered = x - mean[:, None]
@@ -66,7 +50,7 @@ def np_layernorm_forward(x, gamma, beta, eps):
     return xhat * gamma + beta, mean, rstd
 
 
-def np_layernorm_backward(dy, x, gamma, mean, rstd):
+def layernorm_backward(dy, x, gamma, mean, rstd):
     xhat = (x - mean[:, None]) * rstd[:, None]
     dgamma = (dy * xhat).sum(axis=0)
     dbeta = dy.sum(axis=0)
@@ -77,7 +61,7 @@ def np_layernorm_backward(dy, x, gamma, mean, rstd):
     return dx, dgamma, dbeta
 
 
-def np_attention_softmax(scores, key_mask):
+def attention_softmax(scores, key_mask):
     """Row softmax of (batch, heads, q, k) scores; masked keys get exact weight 0.
 
     key_mask is (batch, k) with 1.0 for real positions. Rows must have at
@@ -92,12 +76,12 @@ def np_attention_softmax(scores, key_mask):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def np_attention_softmax_backward(dprobs, probs):
+def attention_softmax_backward(dprobs, probs):
     inner = (dprobs * probs).sum(axis=-1, keepdims=True)
     return (dprobs - inner) * probs
 
 
-def np_softmax_xent(logits, targets):
+def softmax_xent(logits, targets):
     """Per-row cross-entropy and its logit gradient (softmax - onehot)."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -109,7 +93,7 @@ def np_softmax_xent(logits, targets):
     return losses, d
 
 
-def np_adamw_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bc1, bc2):
+def adamw_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bc1, bc2):
     """Decoupled-weight-decay Adam step, in place on 1-d views."""
     m *= beta1
     m += (1.0 - beta1) * grad
@@ -118,257 +102,6 @@ def np_adamw_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bc1,
     param -= lr * ((m / bc1) / (np.sqrt(v / bc2) + eps) + weight_decay * param)
 
 
-def np_embedding_grad(ids, dout, table):
+def embedding_grad(ids, dout, table):
     """Accumulate dout rows into table rows selected by ids (scatter-add)."""
     np.add.at(table, ids, dout)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True, fastmath=True)
-    def nb_gelu_forward(x):
-        out = np.empty_like(x)
-        flat_x = x.ravel()
-        flat_o = out.ravel()
-        for i in prange(flat_x.size):
-            xi = flat_x[i]
-            u = _SQRT_2_OVER_PI * (xi + _GELU_CUBIC * xi * xi * xi)
-            flat_o[i] = 0.5 * xi * (1.0 + math.tanh(u))
-        return out
-
-    @njit(cache=True, parallel=True, fastmath=True)
-    def nb_gelu_backward(dy, x):
-        out = np.empty_like(x)
-        flat_x = x.ravel()
-        flat_d = dy.ravel()
-        flat_o = out.ravel()
-        for i in prange(flat_x.size):
-            xi = flat_x[i]
-            u = _SQRT_2_OVER_PI * (xi + _GELU_CUBIC * xi * xi * xi)
-            t = math.tanh(u)
-            du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * xi * xi)
-            flat_o[i] = flat_d[i] * (0.5 * (1.0 + t) + 0.5 * xi * (1.0 - t * t) * du)
-        return out
-
-    @njit(cache=True, parallel=True, fastmath=True)
-    def nb_layernorm_forward(x, gamma, beta, eps):
-        rows, hidden = x.shape
-        y = np.empty_like(x)
-        mean = np.empty(rows, dtype=x.dtype)
-        rstd = np.empty(rows, dtype=x.dtype)
-        for r in prange(rows):
-            s = 0.0
-            for h in range(hidden):
-                s += x[r, h]
-            mu = s / hidden
-            q = 0.0
-            for h in range(hidden):
-                d = x[r, h] - mu
-                q += d * d
-            rs = 1.0 / math.sqrt(q / hidden + eps)
-            mean[r] = mu
-            rstd[r] = rs
-            for h in range(hidden):
-                y[r, h] = (x[r, h] - mu) * rs * gamma[h] + beta[h]
-        return y, mean, rstd
-
-    @njit(cache=True)
-    def nb_layernorm_backward(dy, x, gamma, mean, rstd):
-        rows, hidden = x.shape
-        dx = np.empty_like(x)
-        dgamma = np.zeros(hidden, dtype=x.dtype)
-        dbeta = np.zeros(hidden, dtype=x.dtype)
-        for r in range(rows):
-            mu = mean[r]
-            rs = rstd[r]
-            m1 = 0.0
-            m2 = 0.0
-            for h in range(hidden):
-                xhat = (x[r, h] - mu) * rs
-                g = dy[r, h] * gamma[h]
-                m1 += g
-                m2 += g * xhat
-                dgamma[h] += dy[r, h] * xhat
-                dbeta[h] += dy[r, h]
-            m1 /= hidden
-            m2 /= hidden
-            for h in range(hidden):
-                xhat = (x[r, h] - mu) * rs
-                g = dy[r, h] * gamma[h]
-                dx[r, h] = (g - m1 - xhat * m2) * rs
-        return dx, dgamma, dbeta
-
-    @njit(cache=True, parallel=True, fastmath=True)
-    def nb_attention_softmax(scores, key_mask):
-        b, nh, lq, lk = scores.shape
-        probs = np.empty_like(scores)
-        for i in prange(b):
-            first = 0
-            for k in range(lk):
-                if key_mask[i, k] > 0:
-                    first = k
-                    break
-            for h in range(nh):
-                for q in range(lq):
-                    mx = scores[i, h, q, first]
-                    for k in range(lk):
-                        if key_mask[i, k] > 0 and scores[i, h, q, k] > mx:
-                            mx = scores[i, h, q, k]
-                    denom = 0.0
-                    for k in range(lk):
-                        if key_mask[i, k] > 0:
-                            e = math.exp(scores[i, h, q, k] - mx)
-                        else:
-                            e = 0.0
-                        probs[i, h, q, k] = e
-                        denom += e
-                    for k in range(lk):
-                        probs[i, h, q, k] /= denom
-        return probs
-
-    @njit(cache=True, parallel=True, fastmath=True)
-    def nb_attention_softmax_backward(dprobs, probs):
-        b, nh, lq, lk = probs.shape
-        ds = np.empty_like(probs)
-        for i in prange(b):
-            for h in range(nh):
-                for q in range(lq):
-                    inner = 0.0
-                    for k in range(lk):
-                        inner += dprobs[i, h, q, k] * probs[i, h, q, k]
-                    for k in range(lk):
-                        ds[i, h, q, k] = (dprobs[i, h, q, k] - inner) * probs[i, h, q, k]
-        return ds
-
-    @njit(cache=True, parallel=True, fastmath=True)
-    def nb_softmax_xent(logits, targets):
-        rows, vocab = logits.shape
-        losses = np.empty(rows, dtype=logits.dtype)
-        d = np.empty_like(logits)
-        for r in prange(rows):
-            mx = logits[r, 0]
-            for c in range(1, vocab):
-                if logits[r, c] > mx:
-                    mx = logits[r, c]
-            s = 0.0
-            for c in range(vocab):
-                e = math.exp(logits[r, c] - mx)
-                d[r, c] = e
-                s += e
-            losses[r] = math.log(s) - (logits[r, targets[r]] - mx)
-            for c in range(vocab):
-                d[r, c] /= s
-            d[r, targets[r]] -= 1.0
-        return losses, d
-
-    @njit(cache=True, parallel=True, fastmath=True)
-    def nb_adamw_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bc1, bc2):
-        for i in prange(param.size):
-            mi = beta1 * m[i] + (1.0 - beta1) * grad[i]
-            vi = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i]
-            m[i] = mi
-            v[i] = vi
-            param[i] -= lr * ((mi / bc1) / (math.sqrt(vi / bc2) + eps) + weight_decay * param[i])
-
-    @njit(cache=True)
-    def nb_embedding_grad(ids, dout, table):
-        n, hidden = dout.shape
-        for i in range(n):
-            row = ids[i]
-            for h in range(hidden):
-                table[row, h] += dout[i, h]
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_KERNEL_NAMES = (
-    "gelu_forward",
-    "gelu_backward",
-    "layernorm_forward",
-    "layernorm_backward",
-    "attention_softmax",
-    "attention_softmax_backward",
-    "softmax_xent",
-    "adamw_update",
-    "embedding_grad",
-)
-
-_NUMPY_IMPLS = {name: globals()["np_" + name] for name in _KERNEL_NAMES}
-_NUMBA_IMPLS = {name: globals()["nb_" + name] for name in _KERNEL_NAMES} if HAVE_NUMBA else None
-
-_active: dict = {}
-_active_name = ""
-
-
-def set_backend(name: str) -> None:
-    """Select the kernel implementation set ("numba" or "numpy")."""
-    global _active, _active_name
-    if name == "numpy":
-        _active = _NUMPY_IMPLS
-    elif name == "numba":
-        if not HAVE_NUMBA:
-            raise ConfigError("numba backend requested but numba is not importable")
-        _active = _NUMBA_IMPLS
-    else:
-        raise ConfigError(f"unknown kernel backend {name!r}")
-    _active_name = name
-
-
-def backend() -> str:
-    return _active_name
-
-
-def _default_backend() -> str:
-    flag = os.environ.get("ADAPTLM_NUMBA", "").strip().lower()
-    if flag in ("0", "false", "no", "off"):
-        return "numpy"
-    if flag in ("1", "true", "yes", "on"):
-        if not HAVE_NUMBA:
-            raise ConfigError("ADAPTLM_NUMBA=1 but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-set_backend(_default_backend())
-
-
-def gelu_forward(x):
-    return _active["gelu_forward"](x)
-
-
-def gelu_backward(dy, x):
-    return _active["gelu_backward"](dy, x)
-
-
-def layernorm_forward(x, gamma, beta, eps):
-    return _active["layernorm_forward"](x, gamma, beta, eps)
-
-
-def layernorm_backward(dy, x, gamma, mean, rstd):
-    return _active["layernorm_backward"](dy, x, gamma, mean, rstd)
-
-
-def attention_softmax(scores, key_mask):
-    return _active["attention_softmax"](scores, key_mask)
-
-
-def attention_softmax_backward(dprobs, probs):
-    return _active["attention_softmax_backward"](dprobs, probs)
-
-
-def softmax_xent(logits, targets):
-    return _active["softmax_xent"](logits, targets)
-
-
-def adamw_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bc1, bc2):
-    _active["adamw_update"](param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bc1, bc2)
-
-
-def embedding_grad(ids, dout, table):
-    _active["embedding_grad"](ids, dout, table)

@@ -143,9 +143,9 @@ def mlm_loss(masked: MaskedBatch, weights: WeightStore):
         return 0.0, np.zeros((0, weights.config.vocab_size), dtype=weights.dtype)
     out = forward_arrays(weights, *batch_arrays(masked.inputs))
     rows, cols = masked.mask_positions[:, 0], masked.mask_positions[:, 1]
-    logits = mlm_logits(np.ascontiguousarray(out.hidden[rows, cols]), weights)
+    logits = mlm_logits(out.hidden[rows, cols], weights)
     targets = masked.labels[rows, cols]
-    losses, _ = kernels.softmax_xent(np.ascontiguousarray(logits), targets)
+    losses, _ = kernels.softmax_xent(logits, targets)
     return float(losses.mean()), logits
 
 

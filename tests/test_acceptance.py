@@ -4,7 +4,7 @@ and asserting its stated tolerance and runtime budget.
 Criteria 8 and 9 share a single five-seed reference pipeline (general
 pretraining, domain continuation with intermediate checkpoints, three
 fine-tuning arms per seed); its regression bands were pinned from a one-time
-reference run and hold on both kernel backends.
+reference run.
 """
 
 import io

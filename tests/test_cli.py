@@ -263,6 +263,30 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "seed = 1\n",                                # no section header
+    "[global]\nseed = 1\n[global]\nseed = 2\n",  # duplicate section
+    "[global]\nout = a%b\n",                     # bad interpolation
+], ids=["no-section-header", "duplicate-section", "interpolation"])
+def test_malformed_config_is_config_error(tmp_path, capsys, text):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("the\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run("corpus-stats", "--corpus", str(corpus), "--vocab", MINI_VOCAB,
+               "--config", str(cfg), "--dry-run") == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("sweep.seeds=0,a", "[sweep] seeds = 'a' is not an integer"),
+    ("sweep.fractions=0.5,x", "[sweep] fractions = 'x' is not a number"),
+])
+def test_malformed_list_setting_is_config_error(capsys, setting, message):
+    assert run("sweep", "--set", "sweep.axis=fraction", "--set", setting, "--dry-run") == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("shape, code", [("lists", 0), ("strings", 3), ("array", 3)])
 def test_evaluate_qa_prediction_file_shape(tmp_path, fixture_dir, shape, code):
     gold = fixture_dir / "qa_test.json"
