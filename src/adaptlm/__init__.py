@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .vocab import (CONTINUATION_PREFIX, SPECIAL_TOKENS, Vocabulary,
                     load_vocabulary, load_vocabulary_file)
 from .tokenizer import (EncodedInput, NO_WORD, basic_tokenize, batch_arrays,
-                        encode_pieces, encode_sequence, split_with_offsets,
-                        wordpiece_split)
+                        encode_pieces, encode_sequence, encode_windows,
+                        first_subtokens, split_with_offsets, wordpiece_split)
 from .encoder import (EncoderConfig, EncoderOutput, WeightStore, backward_arrays,
                       expected_shapes, forward_arrays, init_head, init_weights,
                       scaled_attention, train_step, truncated_normal)
@@ -30,9 +30,9 @@ from .data import (LabeledSentence, QAExample, RelationExample, RelationLabelSet
                    parse_re_tsv, read_bioasq_questions, write_conll,
                    write_qa_json, write_re_tsv)
 from .heads import (FinetuneConfig, FinetuneResult, align_labels,
-                    anonymize_entities, encode_windows, extract_span,
-                    filter_unanswerable, finetune, ner_decode, predict_ner,
-                    predict_qa, predict_re, re_forward)
+                    anonymize_entities, extract_span, filter_unanswerable,
+                    finetune, ner_decode, predict_ner, predict_qa, predict_re,
+                    re_forward)
 from .metrics import (EntitySpan, EvalReport, aggregate_folds, classification_prf,
                       entity_prf, micro_average, normalize_answer, qa_metrics,
                       spans_from_tags)

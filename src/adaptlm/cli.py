@@ -401,12 +401,19 @@ def cmd_sweep(args, cfg) -> int:
 
     if axis == "fraction":
         values = section.floats("fractions", "0.25,0.5,1.0")
+        sources = [None] * len(values)
     else:
         ckpt_dir = section.path("checkpoints")
-        step_files = sorted(ckpt_dir.glob("step_*.ckpt"))
-        if not step_files:
+        found = []
+        for p in ckpt_dir.glob("step_*.ckpt"):
+            digits = p.stem[len("step_"):]
+            if not (digits.isascii() and digits.isdigit()):
+                raise ConfigError(f"checkpoint {p} is not named step_<number>.ckpt")
+            found.append((int(digits), p))
+        if not found:
             raise ConfigError(f"no step_*.ckpt files under {ckpt_dir}")
-        values = [int(p.stem.split("_")[1]) for p in step_files]
+        found.sort()
+        values, sources = [v for v, _ in found], [p for _, p in found]
 
     if args.dry_run:
         _say(f"sweep plan: axis={axis} values={values} seeds={seeds} "
@@ -423,13 +430,12 @@ def cmd_sweep(args, cfg) -> int:
     scheme = _tag_scheme_from([train, dev, test])
 
     rows = []
-    for value in values:
+    for value, source in zip(values, sources):
         for seed in seeds:
-            if axis == "fraction":
+            if source is None:
                 init_store = _sweep_fraction_pretrain(cfg, vocab, value, seed, out)
             else:
-                init_store = load_checkpoint_file(
-                    section.path("checkpoints") / f"step_{value:06d}.ckpt")
+                init_store = load_checkpoint_file(source)
             fcfg = _finetune_config(fin_section, seed)
             result = finetune("ner", train, dev, init_store, fcfg, vocab, scheme=scheme,
                               provenance=f"sweep axis={axis} value={value} seed={seed}")

@@ -93,9 +93,10 @@ class Section:
             return False
         raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a boolean")
 
-    def path(self, key: str, default: str | None = None, must_exist: bool = True) -> Path:
+    def path(self, key: str, default: str | None = None) -> Path:
+        """The setting as a path that must exist."""
         p = Path(self.str(key, default))
-        if must_exist and not p.exists():
+        if not p.exists():
             raise ConfigError(f"[{self.name}] {key}: path does not exist: {p}")
         return p
 

@@ -246,12 +246,11 @@ def write_qa_json(examples: list[QAExample], sink, title: str = "dataset") -> No
     _dump_json(doc, sink)
 
 
-def normalized_occurrences(passage: str, answer: str,
-                           normalizer=normalize_answer) -> list[tuple[int, int]]:
+def normalized_occurrences(passage: str, answer: str) -> list[tuple[int, int]]:
     """(start, end) character spans of the passage whose normalization equals
     the normalized answer. Matching is performed on an incrementally
     normalized copy of the passage with an index map back to the original."""
-    target = normalizer(answer)
+    target = normalize_answer(answer)
     if not target:
         return []
     norm_chars: list[str] = []
@@ -298,8 +297,7 @@ def _gold_strings(exact_answer) -> list[str]:
     return out
 
 
-def bioasq_to_extractive(questions: list[dict], passages: dict[str, str],
-                         normalizer=normalize_answer):
+def bioasq_to_extractive(questions: list[dict], passages: dict[str, str]):
     """Convert factoid questions to extractive QAExamples.
 
     For each (question, referenced passage) pair, every normalized occurrence
@@ -322,7 +320,7 @@ def bioasq_to_extractive(questions: list[dict], passages: dict[str, str],
             passage = passages[doc_id]
             spans = []
             for gold in golds:
-                for start, end in normalized_occurrences(passage, gold, normalizer):
+                for start, end in normalized_occurrences(passage, gold):
                     spans.append((passage[start:end], start))
             if spans:
                 examples.append(QAExample(

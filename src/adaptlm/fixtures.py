@@ -28,8 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import QAExample, RelationExample, write_conll, write_qa_json, write_re_tsv, LabeledSentence
-from .errors import RecipeError
+from .config import Section
+from .data import (QAExample, RelationExample, open_text, write_conll, write_qa_json,
+                   write_re_tsv, LabeledSentence)
+from .errors import FormatError, RecipeError
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -90,30 +92,31 @@ class FixtureRecipe:
 
 def parse_recipe(source) -> FixtureRecipe:
     """Read a recipe from the documented key=value text format (one [recipe]
-    section; unknown keys rejected)."""
+    section; unknown keys rejected). Unreadable or malformed text raises
+    RecipeError, a mistyped value a ConfigError naming [recipe] and its key."""
+    named = isinstance(source, (str, os.PathLike))
     parser = configparser.ConfigParser()
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as f:
-            parser.read_file(f)
-    else:
-        parser.read_file(source)
-    if "recipe" not in parser:
+    try:
+        parser.read_file(open_text(source) if named else source,
+                         source=str(source) if named else "<recipe>")
+        values = dict(parser["recipe"]) if "recipe" in parser else None
+    except OSError:
+        raise RecipeError(f"recipe file not found: {source}") from None
+    except (FormatError, configparser.Error) as e:
+        raise RecipeError(str(e)) from None
+    if values is None:
         raise RecipeError("recipe file needs a [recipe] section")
-    section = parser["recipe"]
+    section = Section({"recipe": values}, "recipe")
     kwargs = {}
     fields = FixtureRecipe.__dataclass_fields__
-    for key, raw in section.items():
+    for key, raw in section.values.items():
         if key not in fields:
             raise RecipeError(f"unknown recipe key {key!r}")
         ftype = fields[key].type
         if key in ("general_pool", "domain_pool"):
             kwargs[key] = tuple(w.strip() for w in raw.split(",") if w.strip())
-        elif ftype == "bool":
-            kwargs[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif ftype == "float":
-            kwargs[key] = float(raw)
-        elif ftype == "int":
-            kwargs[key] = int(raw)
+        elif ftype in ("bool", "float", "int"):
+            kwargs[key] = getattr(section, ftype)(key)
         else:
             kwargs[key] = raw
     return FixtureRecipe(**kwargs).validate()

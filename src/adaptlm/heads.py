@@ -27,8 +27,8 @@ from .optimizer import AdamW, linear_schedule
 from .pretrain import seed_stream
 from .tags import TagScheme, repair_bioes
 from .tokenizer import (EncodedInput, NO_WORD, batch_arrays, encode_sequence,
-                        split_with_offsets)
-from .vocab import CLS, SEP, Vocabulary
+                        encode_windows, first_subtokens)
+from .vocab import Vocabulary
 
 GRID_BATCH_SIZES = (10, 16, 32, 64)
 GRID_LEARNING_RATES = (5e-5, 3e-5, 1e-5)
@@ -75,20 +75,13 @@ def align_labels(sentence: LabeledSentence, encoded: EncodedInput,
     """Per-subtoken tag ids: the first subtoken of each word carries the
     word's tag, everything else (continuations, specials, padding) carries
     IGNORE_LABEL."""
-    word_index = encoded.word_index
+    words, positions = first_subtokens(encoded)
     n_words = len(sentence.words)
-    real = word_index[encoded.mask == 1]
-    if real.size and real.max() >= n_words:
-        raise InputError(f"encoding references word {int(real.max())} but the "
+    if words.size and words[-1] >= n_words:
+        raise InputError(f"encoding references word {int(words[-1])} but the "
                          f"sentence has {n_words} words")
     labels = np.full(len(encoded), IGNORE_LABEL, dtype=np.int64)
-    seen: set[int] = set()
-    for pos in range(len(encoded)):
-        w = int(word_index[pos])
-        if w == NO_WORD or encoded.mask[pos] == 0 or w in seen:
-            continue
-        labels[pos] = scheme.tag_id(sentence.tags[w])
-        seen.add(w)
+    labels[positions] = [scheme.tag_id(sentence.tags[w]) for w in words]
     return labels
 
 
@@ -108,13 +101,10 @@ def ner_decode(logits: np.ndarray, encoded: EncodedInput, scheme: TagScheme,
     valid BIOES sequence. Words truncated out of the encoding decode as O.
     """
     raw = ["O"] * n_words
-    seen: set[int] = set()
-    for pos in range(len(encoded)):
-        w = int(encoded.word_index[pos])
-        if w == NO_WORD or encoded.mask[pos] == 0 or w in seen or w >= n_words:
-            continue
-        raw[w] = scheme.tag(int(np.argmax(logits[pos])))
-        seen.add(w)
+    words, positions = first_subtokens(encoded)
+    keep = words < n_words
+    for w, tag_id in zip(words[keep], np.argmax(logits[positions[keep]], axis=-1)):
+        raw[w] = scheme.tag(int(tag_id))
     return repair_bioes(raw)
 
 
@@ -128,9 +118,8 @@ def re_forward(pooled: np.ndarray, weights: WeightStore,
     return logits
 
 
-def anonymize_entities(sentence: str, spans: list[tuple[int, int, str]],
-                       tag_format: str = "@TYPE$") -> str:
-    """Replace each (start, end, type) span with its typed placeholder.
+def anonymize_entities(sentence: str, spans: list[tuple[int, int, str]]) -> str:
+    """Replace each (start, end, type) span with its placeholder @type$.
 
     Spans must be in bounds and non-overlapping; replacements are applied
     right to left so earlier offsets stay valid. Exactly the provided spans
@@ -147,7 +136,7 @@ def anonymize_entities(sentence: str, spans: list[tuple[int, int, str]],
         prev_end = end
     out = sentence
     for start, end, entity_type in reversed(ordered):
-        out = out[:start] + tag_format.replace("TYPE", entity_type) + out[end:]
+        out = out[:start] + f"@{entity_type}$" + out[end:]
     return out
 
 
@@ -193,46 +182,7 @@ def extract_span(start_logits: np.ndarray, end_logits: np.ndarray,
     return ranked[0], ranked
 
 
-def encode_windows(question: str, passage: str, vocab: Vocabulary, max_len: int,
-                   doc_stride: int = 128) -> list[EncodedInput]:
-    """Sliding windows over a long passage, [CLS] Q [SEP] window [SEP].
-
-    Offsets of window subtokens index the full passage string, so spans
-    recovered from any window line up with the original text.
-    """
-    q_pieces, q_words, q_offs = split_with_offsets(question, vocab)
-    cap_q = max_len - 3 - 1  # leave at least one passage position
-    q_pieces, q_words, q_offs = q_pieces[:cap_q], q_words[:cap_q], q_offs[:cap_q]
-    p_pieces, p_words, p_offs = split_with_offsets(passage, vocab)
-    window_cap = max_len - 3 - len(q_pieces)
-
-    windows = []
-    start = 0
-    while True:
-        chunk = slice(start, start + window_cap)
-        pieces = p_pieces[chunk]
-        subtokens = [CLS] + q_pieces + [SEP] + pieces + [SEP]
-        word_index = [NO_WORD] + q_words + [NO_WORD] + p_words[chunk] + [NO_WORD]
-        offsets = [(0, 0)] + q_offs + [(0, 0)] + p_offs[chunk] + [(0, 0)]
-        segments = [0] * (len(q_pieces) + 2) + [1] * (len(pieces) + 1)
-        real = len(subtokens)
-        pad_n = max_len - real
-        ids = [vocab.id(t) for t in subtokens] + [vocab.pad_id] * pad_n
-        windows.append(EncodedInput(
-            ids=np.asarray(ids, dtype=np.int32),
-            segments=np.asarray(segments + [0] * pad_n, dtype=np.int32),
-            mask=np.asarray([1] * real + [0] * pad_n, dtype=np.int32),
-            subtokens=tuple(subtokens + ["[PAD]"] * pad_n),
-            word_index=np.asarray(word_index + [NO_WORD] * pad_n, dtype=np.int32),
-            offsets=tuple(offsets + [(0, 0)] * pad_n),
-            text_a=question, text_b=passage))
-        if start + window_cap >= len(p_pieces):
-            break
-        start += doc_stride
-    return windows
-
-
-def filter_unanswerable(examples: list[QAExample], normalizer=normalize_answer):
+def filter_unanswerable(examples: list[QAExample]):
     """Keep examples whose normalized gold answer occurs in the normalized
     passage; returns (kept, dropped_count)."""
     kept = []
@@ -240,7 +190,7 @@ def filter_unanswerable(examples: list[QAExample], normalizer=normalize_answer):
     for ex in examples:
         golds = ex.gold_answers or tuple(t for t, _ in ex.answers)
         passage_norm = " ".join(ex.passage.casefold().split())
-        if any(normalizer(g) and normalizer(g) in passage_norm for g in golds):
+        if any(normalize_answer(g) and normalize_answer(g) in passage_norm for g in golds):
             kept.append(ex)
         else:
             dropped += 1
@@ -338,34 +288,30 @@ def _prepare_qa_training(examples, vocab, config):
     return items
 
 
-def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head,
-                    batch_size: int = EVAL_BATCH_SIZE):
+def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head):
     """head(hidden) row by row for every encoding, in order, computed by
-    inference forwards of at most batch_size rows each."""
-    for lo in range(0, len(encodings), batch_size):
-        out = forward_arrays(weights, *batch_arrays(encodings[lo:lo + batch_size]))
+    inference forwards of at most EVAL_BATCH_SIZE rows each."""
+    for lo in range(0, len(encodings), EVAL_BATCH_SIZE):
+        out = forward_arrays(weights, *batch_arrays(encodings[lo:lo + EVAL_BATCH_SIZE]))
         yield from head(out.hidden)
 
 
 def predict_ner(weights: WeightStore, sentences: list[LabeledSentence],
-                vocab: Vocabulary, scheme: TagScheme, max_len: int,
-                batch_size: int = EVAL_BATCH_SIZE) -> list[list[str]]:
+                vocab: Vocabulary, scheme: TagScheme, max_len: int) -> list[list[str]]:
     encodings = [encode_sequence(" ".join(s.words), None, vocab, max_len)
                  for s in sentences]
     logits = _batched_logits(weights, encodings,
-                             lambda hidden: head_logits(hidden, weights, "ner"), batch_size)
+                             lambda hidden: head_logits(hidden, weights, "ner"))
     return [ner_decode(row, enc, scheme, len(s.words))
             for row, enc, s in zip(logits, encodings, sentences)]
 
 
 def predict_re(weights: WeightStore, examples: list[RelationExample],
-               vocab: Vocabulary, labels: RelationLabelSet, max_len: int,
-               batch_size: int = EVAL_BATCH_SIZE) -> list[str]:
+               vocab: Vocabulary, labels: RelationLabelSet, max_len: int) -> list[str]:
     encodings = [encode_sequence(ex.sentence, None, vocab, max_len) for ex in examples]
     logits = _batched_logits(
         weights, encodings,
-        lambda hidden: re_forward(np.ascontiguousarray(hidden[:, 0]), weights, labels),
-        batch_size)
+        lambda hidden: re_forward(np.ascontiguousarray(hidden[:, 0]), weights, labels))
     return [labels.labels[int(np.argmax(row))] for row in logits]
 
 

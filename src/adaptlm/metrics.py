@@ -115,19 +115,20 @@ def normalize_answer(s: str) -> str:
 
 
 def answer_ranks(ranked_answers: list[list[str]], gold_answers: list[list[str]],
-                 normalizer=normalize_answer, n_best: int = N_BEST_DEFAULT) -> list[float]:
+                 n_best: int = N_BEST_DEFAULT) -> list[float]:
     """1-based rank of the first correct answer per question, inf if absent.
 
-    Only the first n_best ranked answers are considered.
+    Answers match when normalize_answer maps them to the same string. Only the
+    first n_best ranked answers are considered.
     """
     if len(ranked_answers) != len(gold_answers):
         raise InputError("ranked and gold lists differ in length")
     ranks = []
     for answers, golds in zip(ranked_answers, gold_answers):
-        normalized_golds = {normalizer(g) for g in golds}
+        normalized_golds = {normalize_answer(g) for g in golds}
         rank = math.inf
         for i, answer in enumerate(answers[:n_best], start=1):
-            if normalizer(answer) in normalized_golds:
+            if normalize_answer(answer) in normalized_golds:
                 rank = i
                 break
         ranks.append(rank)
@@ -135,14 +136,14 @@ def answer_ranks(ranked_answers: list[list[str]], gold_answers: list[list[str]],
 
 
 def qa_metrics(ranked_answers: list[list[str]], gold_answers: list[list[str]],
-               normalizer=normalize_answer, n_best: int = N_BEST_DEFAULT):
+               n_best: int = N_BEST_DEFAULT):
     """(strict, lenient, MRR) plus per-rank tallies.
 
     strict = fraction answered at rank 1, lenient = within the first n_best,
     MRR = mean of 1/rank with 0 for unanswered. An empty ranked list scores
     (0, 0, 0) for that question.
     """
-    ranks = answer_ranks(ranked_answers, gold_answers, normalizer, n_best)
+    ranks = answer_ranks(ranked_answers, gold_answers, n_best)
     n = len(ranks)
     if n == 0:
         raise InputError("no questions to score")
@@ -203,7 +204,7 @@ class EvalReport:
         micro = self.micro
         return micro["mrr"] if self.task == "qa" else micro["f1"]
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         doc = {
             "task": self.task,
             "datasets": self.datasets,
@@ -212,7 +213,7 @@ class EvalReport:
             "provenance": self.provenance,
             "config_fingerprint": self.config_fingerprint,
         }
-        return json.dumps(doc, indent=indent, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True)
 
     def to_table(self) -> str:
         """Aligned text table, one dataset per row plus the micro row."""

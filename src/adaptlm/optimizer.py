@@ -29,14 +29,15 @@ def _decay_exempt(name: str) -> bool:
     return name.endswith((".bias", ".scale", ".shift"))
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-6
+
+
 class AdamW:
     """Holds first/second moments per named tensor; updates in place."""
 
-    def __init__(self, names, shapes_like, *, beta1=0.9, beta2=0.999,
-                 epsilon=1e-6, weight_decay=0.01):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
+    def __init__(self, names, shapes_like, *, weight_decay=0.01):
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {n: np.zeros_like(shapes_like[n]) for n in names}
@@ -44,11 +45,11 @@ class AdamW:
 
     def step(self, tensors, grads, lr: float) -> None:
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         for name in sorted(grads):
             wd = 0.0 if _decay_exempt(name) else self.weight_decay
             kernels.adamw_update(
                 tensors[name].reshape(-1), grads[name].reshape(-1),
                 self.m[name].reshape(-1), self.v[name].reshape(-1),
-                lr, self.beta1, self.beta2, self.epsilon, wd, bc1, bc2)
+                lr, BETA1, BETA2, EPSILON, wd, bc1, bc2)

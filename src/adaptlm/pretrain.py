@@ -71,9 +71,6 @@ class PretrainConfig:
     learning_rate: float = 1e-4
     warmup_fraction: float = 0.01
     weight_decay: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-6
     masking: MaskingPolicy = field(default_factory=MaskingPolicy)
     seed: int = 0
     checkpoint_interval: int = 0
@@ -302,17 +299,10 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
                           f"{weights.config.max_positions}")
 
     opt = AdamW(list(expected_shapes(weights.config)), weights.tensors,
-                beta1=config.adam_beta1, beta2=config.adam_beta2,
-                epsilon=config.adam_epsilon, weight_decay=config.weight_decay)
+                weight_decay=config.weight_decay)
     order_rng = seed_stream(config.seed, "pretrain.order")
     mask_rng = seed_stream(config.seed, "pretrain.mask")
     dropout_rng = seed_stream(config.seed, "pretrain.dropout")
-    policy = MaskingPolicy(
-        mask_fraction=config.masking.mask_fraction,
-        replace_with_mask=config.masking.replace_with_mask,
-        replace_with_random=config.masking.replace_with_random,
-        keep_original=config.masking.keep_original,
-        seed=config.masking.seed).validate()
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -323,7 +313,7 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
     for step in range(1, config.steps + 1):
         t0 = time.perf_counter()
         batch = [segments[i] for i in next(batches)]
-        masked = apply_masking(batch, policy, vocab, rng=mask_rng)
+        masked = apply_masking(batch, config.masking, vocab, rng=mask_rng)
         loss, accuracy, grads = mlm_step_grads(masked, weights, train=True, rng=dropout_rng)
         lr = linear_schedule(step, config.steps, config.learning_rate, config.warmup_fraction)
         opt.step(weights.tensors, grads, lr)

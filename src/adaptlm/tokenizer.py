@@ -1,9 +1,13 @@
-"""Cased basic tokenization and greedy WordPiece splitting with offset bookkeeping.
+"""Cased basic tokenization, greedy WordPiece splitting with offset
+bookkeeping, and the packing of subtokens into encoded inputs.
 
 All functions are pure; case is never folded and no Unicode normalization is
 applied beyond treating control characters as separators. Punctuation (Unicode
 P* plus the ASCII symbols $+<=>^|~) always forms single-character words, so a
 string like "@GENE$" splits deterministically into "@", "GENE", "$".
+
+Every EncodedInput (single texts, text pairs, pretraining segments and QA
+windows) is laid out by _pack as [CLS] A [SEP] (B [SEP]) plus padding.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .vocab import CLS, CONTINUATION_PREFIX, SEP, UNK, Vocabulary
 
-DEFAULT_MAX_WORD_CHARS = 100
+MAX_WORD_CHARS = 100  # longer words split to [UNK]
 
 NO_WORD = -1  # word_index sentinel for special and padding positions
 
@@ -59,16 +63,15 @@ def basic_tokenize(text: str) -> list[tuple[str, int, int]]:
     return out
 
 
-def wordpiece_split(word: str, vocab: Vocabulary,
-                    max_word_chars: int = DEFAULT_MAX_WORD_CHARS) -> list[str]:
+def wordpiece_split(word: str, vocab: Vocabulary) -> list[str]:
     """Greedy longest-match-first subword split.
 
     Non-initial pieces carry the "##" prefix. A word with no match at some
-    position, or longer than max_word_chars, becomes the single piece [UNK].
+    position, or longer than MAX_WORD_CHARS, becomes the single piece [UNK].
     """
     if not word:
         raise InputError("cannot split an empty word")
-    if len(word) > max_word_chars:
+    if len(word) > MAX_WORD_CHARS:
         return [UNK]
     pieces = []
     start = 0
@@ -103,7 +106,6 @@ class EncodedInput:
                  special and padding positions
       offsets    (start, end) character range in the originating text,
                  (0, 0) for specials and padding
-      subtokens  the token strings, padded with [PAD]
 
     text_a/text_b keep the source strings so spans can be recovered later.
     """
@@ -111,7 +113,6 @@ class EncodedInput:
     ids: np.ndarray
     segments: np.ndarray
     mask: np.ndarray
-    subtokens: tuple[str, ...]
     word_index: np.ndarray
     offsets: tuple[tuple[int, int], ...]
     text_a: str | None = None
@@ -128,13 +129,12 @@ class EncodedInput:
         return replace(self, ids=np.asarray(new_ids, dtype=np.int32))
 
 
-def split_with_offsets(text: str, vocab: Vocabulary,
-                       max_word_chars: int = DEFAULT_MAX_WORD_CHARS):
+def split_with_offsets(text: str, vocab: Vocabulary):
     """Per-word subtokens with word indices and character offsets."""
     pieces, words, offs = [], [], []
     for w_idx, (word, w_start, _) in enumerate(basic_tokenize(text)):
         pos = w_start
-        for piece in wordpiece_split(word, vocab, max_word_chars):
+        for piece in wordpiece_split(word, vocab):
             visible = piece[len(CONTINUATION_PREFIX):] if piece.startswith(CONTINUATION_PREFIX) else piece
             if piece == UNK:
                 span = (w_start, w_start + len(word))
@@ -148,8 +148,45 @@ def split_with_offsets(text: str, vocab: Vocabulary,
     return pieces, words, offs
 
 
-def encode_sequence(text_a: str, text_b: str | None, vocab: Vocabulary, max_len: int,
-                    max_word_chars: int = DEFAULT_MAX_WORD_CHARS) -> EncodedInput:
+def _truncate(split, n: int):
+    """The first n entries of a (pieces, word indices, offsets) triple."""
+    return tuple(part[:n] for part in split)
+
+
+def _pack(vocab: Vocabulary, max_len: int, first, second=None,
+          text_a: str | None = None, text_b: str | None = None) -> EncodedInput:
+    """[CLS] first [SEP] (second [SEP]) padded to max_len.
+
+    first and second are (pieces, word indices, offsets) triples that
+    already fit; second and its [SEP] form segment 1.
+    """
+    pieces, words, offsets = first
+    tokens = [CLS, *pieces, SEP]
+    word_index = [NO_WORD, *words, NO_WORD]
+    offs = [(0, 0), *offsets, (0, 0)]
+    n_first = len(tokens)
+    if second is not None:
+        pieces, words, offsets = second
+        tokens += [*pieces, SEP]
+        word_index += [*words, NO_WORD]
+        offs += [*offsets, (0, 0)]
+    real = len(tokens)
+    pad_n = max_len - real
+    segments = np.zeros(max_len, dtype=np.int32)
+    segments[n_first:real] = 1
+    return EncodedInput(
+        ids=np.asarray([vocab.id(t) for t in tokens] + [vocab.pad_id] * pad_n, dtype=np.int32),
+        segments=segments,
+        mask=np.asarray([1] * real + [0] * pad_n, dtype=np.int32),
+        word_index=np.asarray(word_index + [NO_WORD] * pad_n, dtype=np.int32),
+        offsets=tuple(offs + [(0, 0)] * pad_n),
+        text_a=text_a,
+        text_b=text_b,
+    )
+
+
+def encode_sequence(text_a: str, text_b: str | None, vocab: Vocabulary,
+                    max_len: int) -> EncodedInput:
     """Pack one or two texts as [CLS] A [SEP] (B [SEP]) padded to max_len.
 
     Overflow is truncated from the right of text_b (of text_a when there is
@@ -158,78 +195,55 @@ def encode_sequence(text_a: str, text_b: str | None, vocab: Vocabulary, max_len:
     specials = 3 if text_b is not None else 2
     if max_len < specials + 1:
         raise ConfigError(f"max_len={max_len} cannot hold {specials} special tokens plus one token")
-
-    a_pieces, a_words, a_offs = split_with_offsets(text_a, vocab, max_word_chars)
-    budget_a = max_len - specials
-    a_pieces, a_words, a_offs = a_pieces[:budget_a], a_words[:budget_a], a_offs[:budget_a]
-
+    first = _truncate(split_with_offsets(text_a, vocab), max_len - specials)
+    second = None
     if text_b is not None:
-        b_pieces, b_words, b_offs = split_with_offsets(text_b, vocab, max_word_chars)
-        budget_b = max_len - 3 - len(a_pieces)
-        b_pieces, b_words, b_offs = b_pieces[:budget_b], b_words[:budget_b], b_offs[:budget_b]
-    else:
-        b_pieces, b_words, b_offs = [], [], []
-
-    subtokens = [CLS] + a_pieces + [SEP]
-    word_index = [NO_WORD] + a_words + [NO_WORD]
-    offsets = [(0, 0)] + a_offs + [(0, 0)]
-    segments = [0] * len(subtokens)
-    if text_b is not None:
-        subtokens += b_pieces + [SEP]
-        word_index += b_words + [NO_WORD]
-        offsets += b_offs + [(0, 0)]
-        segments += [1] * (len(b_pieces) + 1)
-
-    real = len(subtokens)
-    pad_n = max_len - real
-    ids = [vocab.id(t) for t in subtokens] + [vocab.pad_id] * pad_n
-    subtokens += ["[PAD]"] * pad_n
-    word_index += [NO_WORD] * pad_n
-    offsets += [(0, 0)] * pad_n
-    segments += [0] * pad_n
-    mask = [1] * real + [0] * pad_n
-
-    return EncodedInput(
-        ids=np.asarray(ids, dtype=np.int32),
-        segments=np.asarray(segments, dtype=np.int32),
-        mask=np.asarray(mask, dtype=np.int32),
-        subtokens=tuple(subtokens),
-        word_index=np.asarray(word_index, dtype=np.int32),
-        offsets=tuple(offsets),
-        text_a=text_a,
-        text_b=text_b,
-    )
+        second = _truncate(split_with_offsets(text_b, vocab), max_len - 3 - len(first[0]))
+    return _pack(vocab, max_len, first, second, text_a, text_b)
 
 
 def encode_pieces(pieces: list[str], vocab: Vocabulary, max_len: int,
-                  word_index: list[int] | None = None,
-                  offsets: list[tuple[int, int]] | None = None) -> EncodedInput:
+                  word_index: list[int] | None = None) -> EncodedInput:
     """Pack pre-split subtokens as [CLS] pieces [SEP] padded to max_len.
 
     Used by the pretraining packer, which concatenates sentences and has
-    already run the splitter. Pieces beyond max_len - 2 are dropped.
+    already run the splitter. Pieces beyond max_len - 2 are dropped; every
+    offset is (0, 0).
     """
     if max_len < 3:
         raise ConfigError(f"max_len={max_len} cannot hold the special tokens plus one token")
-    keep = max_len - 2
-    pieces = list(pieces[:keep])
-    word_index = list(word_index[:keep]) if word_index is not None else list(range(len(pieces)))
-    offsets = list(offsets[:keep]) if offsets is not None else [(0, 0)] * len(pieces)
+    pieces = list(pieces[:max_len - 2])
+    words = list(word_index[:len(pieces)]) if word_index is not None else list(range(len(pieces)))
+    return _pack(vocab, max_len, (pieces, words, [(0, 0)] * len(pieces)))
 
-    subtokens = [CLS] + pieces + [SEP]
-    widx = [NO_WORD] + word_index + [NO_WORD]
-    offs = [(0, 0)] + offsets + [(0, 0)]
-    real = len(subtokens)
-    pad_n = max_len - real
-    ids = [vocab.id(t) for t in subtokens] + [vocab.pad_id] * pad_n
-    return EncodedInput(
-        ids=np.asarray(ids, dtype=np.int32),
-        segments=np.zeros(max_len, dtype=np.int32),
-        mask=np.asarray([1] * real + [0] * pad_n, dtype=np.int32),
-        subtokens=tuple(subtokens + ["[PAD]"] * pad_n),
-        word_index=np.asarray(widx + [NO_WORD] * pad_n, dtype=np.int32),
-        offsets=tuple(offs + [(0, 0)] * pad_n),
-    )
+
+def encode_windows(question: str, passage: str, vocab: Vocabulary, max_len: int,
+                   doc_stride: int = 128) -> list[EncodedInput]:
+    """Sliding windows over a long passage, [CLS] Q [SEP] window [SEP].
+
+    The question keeps at least one passage position per window. Windows
+    start every doc_stride subtokens; the last is the first to reach the
+    passage end. Offsets of window subtokens index the full passage string,
+    so spans recovered from any window line up with the original text.
+    """
+    first = _truncate(split_with_offsets(question, vocab), max_len - 4)
+    p_pieces, p_words, p_offs = split_with_offsets(passage, vocab)
+    cap = max_len - 3 - len(first[0])
+    starts = range(0, max(len(p_pieces) - cap, 0) + doc_stride, doc_stride)
+    return [_pack(vocab, max_len, first,
+                  (p_pieces[s:s + cap], p_words[s:s + cap], p_offs[s:s + cap]),
+                  question, passage)
+            for s in starts]
+
+
+def first_subtokens(encoded: EncodedInput):
+    """(words, positions): the distinct word indices at real, non-special
+    positions, ascending, and the position where each first occurs, which is
+    the word's first subtoken. A text_b word sharing an index with a text_a
+    word is not counted."""
+    real = np.flatnonzero((encoded.mask == 1) & (encoded.word_index != NO_WORD))
+    words, first = np.unique(encoded.word_index[real], return_index=True)
+    return words, real[first]
 
 
 def batch_arrays(batch: list[EncodedInput]):

@@ -341,6 +341,43 @@ checkpoints = PLACEHOLDER
     assert len(rows) == 1 + 2  # step_000002 and step_000004
 
 
+def test_sweep_checkpoint_axis_rejects_non_numeric_step(tmp_path, fixture_dir, capsys):
+    cfg = _write_config(tmp_path, fixture_dir, extra="[sweep]\naxis = checkpoint\n")
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    (ckpts / "step_final.ckpt").write_bytes(b"")
+    assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "run"), "--dry-run",
+               "--set", f"sweep.checkpoints={ckpts}") == 2
+    assert "step_final.ckpt" in capsys.readouterr().err
+
+
+def test_sweep_checkpoint_axis_loads_unpadded_step_name(tmp_path, fixture_dir):
+    cfg = _write_config(tmp_path, fixture_dir, extra="[sweep]\naxis = checkpoint\nseeds = 0\n")
+    out = tmp_path / "run"
+    assert run("pretrain", "--config", str(cfg), "--out", str(out)) == 0
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    (ckpts / "step_2.ckpt").write_bytes((out / "pretrain" / "step_000002.ckpt").read_bytes())
+    assert run("sweep", "--config", str(cfg), "--out", str(out),
+               "--set", f"sweep.checkpoints={ckpts}") == 0
+    rows = (out / "sweep" / "sweep_rows.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("checkpoint,2,")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[recipe]\nner_train = abc\n", "[recipe] ner_train = 'abc' is not an integer"),
+    (b"ner_train = 5\n", "no section headers"),
+    (b"[recipe]\nentity_type = caf\xe9\n", "line 2 is not valid UTF-8"),
+    (b"[recipe]\nrequire_disjoint = maybe\n", "[recipe] require_disjoint = 'maybe' is not a boolean"),
+], ids=["bad-int", "no-section-header", "latin-1", "bad-bool"])
+def test_malformed_recipe_is_config_error(tmp_path, capsys, content, message):
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_bytes(content)
+    assert run("fixtures", "--recipe", str(recipe), "--out", str(tmp_path / "fx"),
+               "--dry-run") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_finetune_grid_emits_cell_reports_and_summary(tmp_path, fixture_dir):
     cfg = _write_config(tmp_path, fixture_dir, extra="""
 grid_batch_sizes = 4,8

@@ -3,14 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptlm.data import (LabeledSentence, QAExample, RelationLabelSet,
                           bioasq_to_extractive, kfold_split, load_ner_dataset,
                           normalized_occurrences, parse_conll, parse_qa_json,
                           parse_re_tsv, write_conll, write_qa_json, write_re_tsv)
-from adaptlm.errors import FormatError, InputError
+from adaptlm.errors import ConfigError, FormatError, InputError, RecipeError
 from adaptlm.fixtures import FixtureRecipe, generate_fixtures, parse_recipe
-from adaptlm.errors import RecipeError
 from adaptlm.tags import bio_to_bioes, bioes_to_bio
 from adaptlm.metrics import spans_from_tags
 
@@ -330,3 +331,20 @@ def test_parse_recipe_rejects_unknown_keys(tmp_path):
     recipe = parse_recipe(path)
     assert recipe.ner_train == 5
     assert recipe.unanswerable_fraction == 0.5
+
+
+_RECIPE_KEYS = sorted(FixtureRecipe.__dataclass_fields__) + ["bogus"]
+_recipe_lines = st.tuples(st.sampled_from(_RECIPE_KEYS), st.sampled_from(" =:"),
+                          st.text(max_size=12)).map(lambda t: f"{t[0]} {t[1]} {t[2]}")
+
+
+@given(st.one_of(
+    st.text(max_size=80),
+    st.lists(_recipe_lines, max_size=6).map(lambda lines: "[recipe]\n" + "\n".join(lines))))
+@settings(max_examples=300, deadline=None)
+def test_parse_recipe_raises_only_config_errors(text):
+    try:
+        recipe = parse_recipe(io.StringIO(text))
+    except ConfigError:
+        return
+    assert isinstance(recipe, FixtureRecipe)

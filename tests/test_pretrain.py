@@ -129,7 +129,7 @@ def test_pack_documents_respects_max_len(toy_vocab):
     assert segments
     for seg in segments:
         assert len(seg) == 8
-        assert seg.subtokens[0] == "[CLS]"
+        assert seg.ids[0] == toy_vocab.cls_id
         assert int(seg.mask.sum()) <= 8
 
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptlm.errors import ConfigError, FormatError
-from adaptlm.tokenizer import (NO_WORD, basic_tokenize, encode_sequence,
-                               split_with_offsets, wordpiece_split)
+from adaptlm.tokenizer import (NO_WORD, basic_tokenize, encode_sequence, encode_windows,
+                               first_subtokens, split_with_offsets, wordpiece_split)
 from adaptlm.vocab import CONTINUATION_PREFIX, UNK, load_vocabulary
 
 
@@ -81,7 +81,8 @@ def test_wordpiece_unknown_character_is_unk(toy_vocab):
 
 def test_wordpiece_overlong_word_is_unk(toy_vocab):
     assert wordpiece_split("ab" * 60, toy_vocab) == [UNK]
-    assert wordpiece_split("ab" * 60, toy_vocab, max_word_chars=1000) != [UNK]
+    assert wordpiece_split("ab" * 50 + "a", toy_vocab) == [UNK]  # 101 characters
+    assert wordpiece_split("ab" * 50, toy_vocab) == ["ab"] + ["##ab"] * 49
 
 
 def test_wordpiece_greedy_prefers_longest(toy_vocab):
@@ -135,7 +136,7 @@ def test_wordpiece_determinism(mini_vocab):
 
 def test_encode_single_text_layout(toy_vocab):
     e = encode_sequence("a b c", None, toy_vocab, 8)
-    assert list(e.subtokens[:5]) == ["[CLS]", "a", "b", "c", "[SEP]"]
+    assert [toy_vocab.token(i) for i in e.ids[:5]] == ["[CLS]", "a", "b", "c", "[SEP]"]
     assert e.real_length == 5
     assert e.mask.tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
     assert e.segments.tolist() == [0] * 8
@@ -147,19 +148,19 @@ def test_encode_pair_segments(toy_vocab):
     e = encode_sequence("a b", "c d", toy_vocab, 10)
     # [CLS] a b [SEP] -> segment 0; c d [SEP] -> segment 1
     assert e.segments.tolist()[:7] == [0, 0, 0, 0, 1, 1, 1]
-    assert e.subtokens[3] == "[SEP]" and e.subtokens[6] == "[SEP]"
+    assert e.ids[3] == toy_vocab.sep_id and e.ids[6] == toy_vocab.sep_id
 
 
 def test_encode_truncates_text_b(toy_vocab):
     e = encode_sequence("a b", " ".join(["c"] * 100), toy_vocab, 16)
     assert int(e.mask.sum()) == 16
-    assert e.subtokens[15] == "[SEP]"
+    assert e.ids[15] == toy_vocab.sep_id
 
 
 def test_encode_truncates_text_a_without_pair(toy_vocab):
     e = encode_sequence(" ".join(["a"] * 50), None, toy_vocab, 8)
     assert int(e.mask.sum()) == 8
-    assert e.subtokens[7] == "[SEP]"
+    assert e.ids[7] == toy_vocab.sep_id
 
 
 def test_encode_max_len_too_small(toy_vocab):
@@ -175,7 +176,7 @@ def test_encode_offsets_reconstruct_source(mini_vocab):
     for pos in range(len(e)):
         if e.word_index[pos] == NO_WORD or not e.mask[pos]:
             continue
-        piece = e.subtokens[pos]
+        piece = mini_vocab.token(e.ids[pos])
         if piece == UNK:
             continue
         visible = piece[2:] if piece.startswith(CONTINUATION_PREFIX) else piece
@@ -187,10 +188,10 @@ def test_encode_offsets_reconstruct_source(mini_vocab):
 @settings(max_examples=100, deadline=None)
 def test_encode_parallel_lengths_and_mask_prefix(toy_vocab, text):
     e = encode_sequence(text, None, toy_vocab, 16)
-    assert len(e.ids) == len(e.segments) == len(e.mask) == len(e.subtokens) == 16
+    assert len(e.ids) == len(e.segments) == len(e.mask) == len(e.word_index) == len(e.offsets) == 16
     m = e.mask.tolist()
     assert m == sorted(m, reverse=True)  # 1s form a prefix
-    assert e.subtokens[0] == "[CLS]"
+    assert e.ids[0] == toy_vocab.cls_id
 
 
 def test_split_with_offsets_word_alignment(mini_vocab):
@@ -198,3 +199,38 @@ def test_split_with_offsets_word_alignment(mini_vocab):
     assert words == [0] * 7 + [1]
     assert offs[0] == (0, 1)
     assert offs[1] == (1, 3)
+
+
+def test_single_window_equals_pair_encoding(toy_vocab):
+    question, passage = "a b", "abcd c, ab . d"
+    (window,) = encode_windows(question, passage, toy_vocab, max_len=16, doc_stride=4)
+    pair = encode_sequence(question, passage, toy_vocab, 16)
+    for name in ("ids", "segments", "mask", "word_index"):
+        a, b = getattr(window, name), getattr(pair, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert window.offsets == pair.offsets
+    assert (window.text_a, window.text_b) == (pair.text_a, pair.text_b) == (question, passage)
+
+
+def test_first_subtokens_skip_continuations_specials_and_padding(toy_vocab):
+    e = encode_sequence("abcd b ab", "c", toy_vocab, 12)
+    # [CLS] abc ##d b ab [SEP] c [SEP] [PAD]...
+    words, positions = first_subtokens(e)
+    assert words.tolist() == [0, 1, 2]
+    assert positions.tolist() == [1, 3, 4]
+
+
+@given(st.text(alphabet=st.sampled_from("abcdx ."), max_size=30),
+       st.text(alphabet=st.sampled_from("abcdx ."), max_size=30),
+       st.integers(min_value=4, max_value=20))
+@settings(max_examples=100, deadline=None)
+def test_first_subtokens_match_reference_loop(toy_vocab, text_a, text_b, max_len):
+    e = encode_sequence(text_a, text_b, toy_vocab, max_len)
+    seen, expected = set(), []
+    for pos in range(len(e)):
+        w = int(e.word_index[pos])
+        if w != NO_WORD and e.mask[pos] and w not in seen:
+            seen.add(w)
+            expected.append((w, pos))
+    words, positions = first_subtokens(e)
+    assert list(zip(words.tolist(), positions.tolist())) == sorted(expected)
