@@ -19,6 +19,7 @@ import io
 import json
 import statistics
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +32,8 @@ from .data import (LabeledSentence, RelationLabelSet, bioasq_to_extractive,
 from .encoder import EncoderConfig
 from .errors import ConfigError, FormatError, InputError, ToolkitError
 from .fixtures import FixtureRecipe, generate_fixtures, parse_recipe
-from .heads import FinetuneConfig, evaluate_ner, evaluate_qa, evaluate_re, finetune
+from .heads import (GRID_BATCH_SIZES, GRID_LEARNING_RATES, TASKS, FinetuneConfig,
+                    evaluate_ner, evaluate_qa, evaluate_re, finetune)
 from .metrics import (EvalReport, classification_prf, config_fingerprint,
                       entity_prf, qa_metrics, spans_from_tags)
 from .pretrain import (MaskingPolicy, PretrainConfig, read_corpus,
@@ -53,53 +55,6 @@ def _load_vocab(cfg):
     return load_vocabulary_file(Section(cfg, "global").path("vocab"))
 
 
-def _encoder_config(section: Section, vocab_size: int, seed: int) -> EncoderConfig:
-    return EncoderConfig(
-        vocab_size=vocab_size,
-        hidden=section.int("hidden", 48),
-        layers=section.int("layers", 2),
-        heads=section.int("heads", 4),
-        ff_dim=section.int("ff_dim", 96),
-        max_positions=section.int("max_positions", 64),
-        layernorm_epsilon=section.float("layernorm_epsilon", 1e-12),
-        init_std=section.float("init_std", 0.02),
-        dropout=section.float("dropout", 0.1),
-        seed=seed,
-    ).validate()
-
-
-def _pretrain_config(section: Section, seed: int,
-                     encoder: EncoderConfig | None) -> PretrainConfig:
-    return PretrainConfig(
-        steps=section.int("steps"),
-        batch_size=section.int("batch_size", 16),
-        max_len=section.int("max_len", 32),
-        learning_rate=section.float("learning_rate", 1e-4),
-        warmup_fraction=section.float("warmup_fraction", 0.01),
-        weight_decay=section.float("weight_decay", 0.01),
-        masking=MaskingPolicy(mask_fraction=section.float("mask_fraction", 0.15), seed=seed),
-        seed=seed,
-        checkpoint_interval=section.int("checkpoint_interval", 0),
-        encoder=encoder,
-    ).validate()
-
-
-def _finetune_config(section: Section, seed: int) -> FinetuneConfig:
-    return FinetuneConfig(
-        batch_size=section.int("batch_size", 16),
-        learning_rate=section.float("learning_rate", 3e-5),
-        epochs=section.int("epochs", 3),
-        seed=seed,
-        max_len=section.int("max_len", 48),
-        warmup_fraction=section.float("warmup_fraction", 0.1),
-        weight_decay=section.float("weight_decay", 0.01),
-        max_answer_subtokens=section.int("max_answer_subtokens", 30),
-        doc_stride=section.int("doc_stride", 128),
-        n_best=section.int("n_best", 5),
-        allow_nonstandard=section.bool("allow_nonstandard", False),
-    ).validate()
-
-
 def _task_data(task: str, section: Section, key: str, labels: RelationLabelSet | None):
     path = section.path(key)
     if task == "ner":
@@ -111,21 +66,12 @@ def _task_data(task: str, section: Section, key: str, labels: RelationLabelSet |
 
 
 def _relation_labels(section: Section) -> RelationLabelSet:
-    names = tuple(x.strip() for x in section.str("labels", "negative,positive").split(","))
-    return RelationLabelSet(names)
+    return RelationLabelSet(tuple(section.list_of("labels", str, ("negative", "positive"))))
 
 
 def _tag_scheme_from(datasets) -> TagScheme:
-    types = set()
-    for sentences in datasets:
-        for s in sentences:
-            for tag in s.tags:
-                kind, typ = parse_tag(tag)
-                if typ:
-                    types.add(typ)
-    if not types:
-        types = {"ENT"}
-    return TagScheme(tuple(sorted(types)))
+    types = {parse_tag(tag)[1] for sentences in datasets for s in sentences for tag in s.tags}
+    return TagScheme(tuple(sorted(types - {None})) or ("ENT",))
 
 
 def _fingerprint(cfg) -> str:
@@ -148,17 +94,18 @@ def cmd_pretrain(args, cfg) -> int:
     vocab = _load_vocab(cfg)
     corpus_path = section.path("corpus")
 
-    init = None
+    init = encoder = None
     mode = "from-scratch"
     if section.has("init"):
         init = load_checkpoint_file(section.path("init"))
         mode = "continued"
-    encoder = None if init is not None else _encoder_config(section, len(vocab), seed)
-    pcfg = _pretrain_config(section, seed, encoder)
+    else:
+        encoder = section.load(EncoderConfig, vocab_size=len(vocab), seed=seed)
+    pcfg = section.load(PretrainConfig, seed=seed, encoder=encoder,
+                        masking=section.load(MaskingPolicy, seed=seed))
 
     if args.dry_run:
-        _say(f"pretrain plan: mode={mode} steps={pcfg.steps} batch={pcfg.batch_size} "
-             f"max_len={pcfg.max_len} lr={pcfg.learning_rate} seed={seed}")
+        _say(f"pretrain plan: mode={mode} {asdict(pcfg)}")
         _say(f"would write: {out}/final.ckpt, {out}/metrics.jsonl")
         return 0
 
@@ -175,7 +122,7 @@ def cmd_pretrain(args, cfg) -> int:
 def _finetune_once(task, cfg, seed, init_path, out_dir, provenance):
     section = Section(cfg, "finetune")
     vocab = _load_vocab(cfg)
-    fcfg = _finetune_config(section, seed)
+    fcfg = section.load(FinetuneConfig, seed=seed)
     init = load_checkpoint_file(init_path)
     labels = _relation_labels(section) if task == "re" else None
     train = _task_data(task, section, "train", labels)
@@ -198,16 +145,15 @@ def _finetune_once(task, cfg, seed, init_path, out_dir, provenance):
 
 def cmd_finetune(args, cfg) -> int:
     section = Section(cfg, "finetune")
-    task = section.str("task")
+    task = section.choice("task", TASKS)
     seed = resolve_seed(args.seed, cfg)
     out = resolve_out(args.out, cfg) / "finetune"
     provenance = section.str("provenance", "unspecified")
     init_path = section.path("init")
 
     if args.dry_run:
-        fcfg = _finetune_config(section, seed)
-        _say(f"finetune plan: task={task} epochs={fcfg.epochs} batch={fcfg.batch_size} "
-             f"lr={fcfg.learning_rate} seed={seed} init={init_path}")
+        fcfg = section.load(FinetuneConfig, seed=seed)
+        _say(f"finetune plan: task={task} init={init_path} {asdict(fcfg)}")
         _say(f"would write: {out}/best.ckpt, {out}/report.json, {out}/log.jsonl")
         return 0
 
@@ -217,8 +163,8 @@ def cmd_finetune(args, cfg) -> int:
         _say(f"dev metric {result.report.primary_metric():.4f}; wrote {out}/report.json")
         return 0
 
-    batches = section.ints("grid_batch_sizes", "10,16,32,64")
-    rates = section.floats("grid_learning_rates", "5e-5,3e-5,1e-5")
+    batches = section.list_of("grid_batch_sizes", int, GRID_BATCH_SIZES)
+    rates = section.list_of("grid_learning_rates", float, GRID_LEARNING_RATES)
     best = None
     for b in batches:
         for lr in rates:
@@ -239,7 +185,7 @@ def cmd_finetune(args, cfg) -> int:
 
 def cmd_evaluate(args, cfg) -> int:
     section = Section(cfg, "evaluate")
-    task = section.str("task")
+    task = section.choice("task", TASKS)
     seed = resolve_seed(args.seed, cfg)
     out = resolve_out(args.out, cfg) / "evaluate"
     provenance = section.str("provenance", "unspecified")
@@ -257,7 +203,7 @@ def cmd_evaluate(args, cfg) -> int:
         vocab = _load_vocab(cfg)
         weights = load_checkpoint_file(section.path("checkpoint"))
         data = _task_data(task, section, "data", labels)
-        fcfg = _finetune_config(Section(cfg, "finetune"), seed)
+        fcfg = Section(cfg, "finetune").load(FinetuneConfig, seed=seed)
         name = section.str("dataset_name", "eval")
         if task == "ner":
             scheme = _tag_scheme_from([data])
@@ -392,15 +338,13 @@ def cmd_corpus_stats(args, cfg) -> int:
 
 def cmd_sweep(args, cfg) -> int:
     section = Section(cfg, "sweep")
-    axis = section.str("axis")
-    if axis not in ("fraction", "checkpoint"):
-        raise ConfigError(f"sweep axis must be 'fraction' or 'checkpoint', got {axis!r}")
-    seeds = section.ints("seeds", "0,1,2")
+    axis = section.choice("axis", ("fraction", "checkpoint"))
+    seeds = section.list_of("seeds", int, (0, 1, 2))
     out = resolve_out(args.out, cfg) / "sweep"
     dataset_name = section.str("dataset_name", "ner_test")
 
     if axis == "fraction":
-        values = section.floats("fractions", "0.25,0.5,1.0")
+        values = section.list_of("fractions", float, (0.25, 0.5, 1.0))
         sources = [None] * len(values)
     else:
         ckpt_dir = section.path("checkpoints")
@@ -423,10 +367,8 @@ def cmd_sweep(args, cfg) -> int:
 
     vocab = _load_vocab(cfg)
     fin_section = Section(cfg, "finetune")
-    labels = None
-    train = _task_data("ner", fin_section, "train", labels)
-    dev = _task_data("ner", fin_section, "dev", labels)
-    test = _task_data("ner", fin_section, "test", labels)
+    train, dev, test = (_task_data("ner", fin_section, key, None)
+                        for key in ("train", "dev", "test"))
     scheme = _tag_scheme_from([train, dev, test])
 
     rows = []
@@ -436,7 +378,7 @@ def cmd_sweep(args, cfg) -> int:
                 init_store = _sweep_fraction_pretrain(cfg, vocab, value, seed, out)
             else:
                 init_store = load_checkpoint_file(source)
-            fcfg = _finetune_config(fin_section, seed)
+            fcfg = fin_section.load(FinetuneConfig, seed=seed)
             result = finetune("ner", train, dev, init_store, fcfg, vocab, scheme=scheme,
                               provenance=f"sweep axis={axis} value={value} seed={seed}")
             report = evaluate_ner(result.weights, test, vocab, scheme, fcfg.max_len,
@@ -477,7 +419,8 @@ def _sweep_fraction_pretrain(cfg, vocab, fraction, seed, out):
     sub_seed = int(seed_stream(seed, "sweep.subsample").integers(0, 2**31 - 1))
     docs = subsample_documents(docs, fraction, sub_seed)
     stream = io.StringIO("\n\n".join("\n".join(doc) for doc in docs) + "\n")
-    pcfg = _pretrain_config(section, seed, None)
+    pcfg = section.load(PretrainConfig, seed=seed,
+                        masking=section.load(MaskingPolicy, seed=seed))
     weights, _ = train_mlm(stream, pcfg, vocab, init)
     return weights
 

@@ -2,21 +2,52 @@
 
 Command-line --set section.key=value overrides always win over the file.
 Validation reads settings and checks referenced paths without touching the
-filesystem otherwise.
+filesystem otherwise. A section accepts only its keys in SECTIONS; the
+dataclasses read from it hold the defaults.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import math
 import os
 from pathlib import Path
 
 from .data import open_text
+from .encoder import EncoderConfig
 from .errors import ConfigError, FormatError
-
-SECTIONS = ("global", "pretrain", "finetune", "evaluate", "sweep", "fixtures")
+from .heads import FinetuneConfig
+from .pretrain import MaskingPolicy, PretrainConfig
 
 OUTPUT_ROOT_ENV = "ADAPTLM_OUT"
+
+
+def _fields(*classes) -> tuple[str, ...]:
+    """Field names a config file sets: all but those a command fixes itself."""
+    fixed = ("vocab_size", "seed", "encoder", "masking")
+    return tuple(f.name for cls in classes for f in dataclasses.fields(cls)
+                 if f.name not in fixed)
+
+
+SECTIONS = {
+    "global": ("vocab", "out", "seed"),
+    "pretrain": _fields(EncoderConfig, PretrainConfig, MaskingPolicy) + ("corpus", "init"),
+    "finetune": _fields(FinetuneConfig) + (
+        "task", "provenance", "init", "train", "dev", "test", "intermediate", "labels",
+        "scheme", "lenient", "grid_batch_sizes", "grid_learning_rates"),
+    "evaluate": ("task", "provenance", "pred", "gold", "checkpoint", "data", "dataset_name",
+                 "scheme", "lenient", "labels"),
+    "sweep": ("axis", "seeds", "dataset_name", "fractions", "checkpoints", "init"),
+}
+
+
+def _check_keys(section: str, keys) -> None:
+    if section not in SECTIONS:
+        raise ConfigError(f"unknown config section [{section}]")
+    for key in keys:
+        if key not in SECTIONS[section]:
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
 
 
 def load_config(path) -> dict[str, dict[str, str]]:
@@ -32,9 +63,8 @@ def load_config(path) -> dict[str, dict[str, str]]:
         cfg = {section: dict(parser[section]) for section in parser.sections()}
     except configparser.Error as e:
         raise ConfigError(f"{path}: {e}") from None
-    unknown = set(cfg) - set(SECTIONS)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for section, values in cfg.items():
+        _check_keys(section, values)
     return cfg
 
 
@@ -46,8 +76,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
-        if section not in SECTIONS:
-            raise ConfigError(f"unknown section {section!r} in override {item!r}")
+        _check_keys(section, [key.strip()])
         out.setdefault(section, {})[key.strip()] = value.strip()
     return out
 
@@ -69,19 +98,25 @@ class Section:
             raise ConfigError(f"[{self.name}] is missing required key {key!r}")
         return default
 
-    def _parse(self, key: str, raw: str, kind, what: str):
+    def choice(self, key: str, choices: tuple[str, ...]) -> str:
+        value = self.str(key)
+        if value not in choices:
+            raise ConfigError(f"[{self.name}] {key} must be one of {list(choices)}, "
+                              f"got {value!r}")
+        return value
+
+    def _parse(self, key: str, raw: str, kind):
         try:
-            return kind(raw)
+            value = kind(raw)
         except ValueError:
+            what = {int: "an integer", float: "a number"}[kind]
             raise ConfigError(f"[{self.name}] {key} = {raw!r} is not {what}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not finite")
+        return value
 
     def int(self, key: str, default: int | None = None) -> int:
-        raw = self.str(key, None if default is None else str(default))
-        return self._parse(key, raw, int, "an integer")
-
-    def float(self, key: str, default: float | None = None) -> float:
-        raw = self.str(key, None if default is None else repr(default))
-        return self._parse(key, raw, float, "a number")
+        return self._parse(key, self.str(key, None if default is None else str(default)), int)
 
     def bool(self, key: str, default: bool = False) -> bool:
         if not self.has(key):
@@ -93,20 +128,39 @@ class Section:
             return False
         raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a boolean")
 
-    def path(self, key: str, default: str | None = None) -> Path:
+    def path(self, key: str) -> Path:
         """The setting as a path that must exist."""
-        p = Path(self.str(key, default))
+        p = Path(self.str(key))
         if not p.exists():
             raise ConfigError(f"[{self.name}] {key}: path does not exist: {p}")
         return p
 
-    def floats(self, key: str, default: str | None = None) -> list[float]:
-        return [self._parse(key, x.strip(), float, "a number")
-                for x in self.str(key, default).split(",") if x.strip()]
+    def list_of(self, key: str, kind, default: tuple | None = None) -> list:
+        """The comma-separated setting as a list of `kind` (int, float or str)."""
+        if default is not None and not self.has(key):
+            return list(default)
+        parse = str.strip if kind is str else lambda x: self._parse(key, x.strip(), kind)
+        items = [parse(x) for x in self.str(key).split(",") if x.strip()]
+        if not items:
+            raise ConfigError(f"[{self.name}] {key} lists nothing")
+        return items
 
-    def ints(self, key: str, default: str | None = None) -> list[int]:
-        return [self._parse(key, x.strip(), int, "an integer")
-                for x in self.str(key, default).split(",") if x.strip()]
+    def load(self, cls, **fixed):
+        """A validated `cls` dataclass: the `fixed` fields as given, every
+        other field read from this section by its annotation, or the field's
+        own default when the key is absent."""
+        readers = {"int": self.int, "bool": self.bool, "str": self.str,
+                   "float": lambda key: self._parse(key, self.str(key), float),
+                   "tuple[str, ...]": lambda key: tuple(self.list_of(key, str))}
+        kwargs = dict(fixed)
+        for f in dataclasses.fields(cls):
+            if f.name in fixed:
+                continue
+            if self.has(f.name):
+                kwargs[f.name] = readers[f.type](f.name)
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"[{self.name}] is missing required key {f.name!r}")
+        return cls(**kwargs).validate()
 
 
 def resolve_out(flag_value: str | None, cfg: dict) -> Path:

@@ -29,11 +29,11 @@ N_SEGMENTS = 2
 @dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int
-    hidden: int
-    layers: int
-    heads: int
-    ff_dim: int
-    max_positions: int
+    hidden: int = 48
+    layers: int = 2
+    heads: int = 4
+    ff_dim: int = 96
+    max_positions: int = 64
     layernorm_epsilon: float = 1e-12
     init_std: float = 0.02
     dropout: float = 0.1

@@ -23,7 +23,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,9 @@ from .errors import FormatError, RecipeError
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
+# Recipe integers that bound a random draw and so must be >= 1; the others may be 0.
+_AT_LEAST_ONE = ("general_words", "domain_heads", "distractor_heads", "markers_per_class",
+                 "sentence_words")
 
 
 @dataclass(frozen=True)
@@ -73,14 +76,15 @@ class FixtureRecipe:
     unanswerable_fraction: float = 0.30
 
     def validate(self) -> "FixtureRecipe":
-        counts = (self.general_words, self.domain_heads, self.distractor_heads,
-                  self.term_tails, self.markers_per_class)
-        if any(c < 0 for c in counts):
-            raise RecipeError("pool sizes must be non-negative")
+        for f in fields(self):
+            low = 1 if f.name in _AT_LEAST_ONE else 0
+            if f.type == "int" and getattr(self, f.name) < low:
+                raise RecipeError(f"{f.name} must be >= {low}")
         if self.term_syllables not in (1, 2):
             raise RecipeError("term_syllables must be 1 or 2")
-        if not 0.0 <= self.unanswerable_fraction <= 1.0:
-            raise RecipeError("unanswerable_fraction must lie in [0, 1]")
+        for name in ("unanswerable_fraction", "two_word_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise RecipeError(f"{name} must lie in [0, 1]")
         if not 0.0 < self.train_head_fraction < 1.0:
             raise RecipeError("train_head_fraction must lie in (0, 1)")
         if self.require_disjoint and self.general_pool and self.domain_pool:
@@ -106,20 +110,10 @@ def parse_recipe(source) -> FixtureRecipe:
         raise RecipeError(str(e)) from None
     if values is None:
         raise RecipeError("recipe file needs a [recipe] section")
-    section = Section({"recipe": values}, "recipe")
-    kwargs = {}
-    fields = FixtureRecipe.__dataclass_fields__
-    for key, raw in section.values.items():
-        if key not in fields:
-            raise RecipeError(f"unknown recipe key {key!r}")
-        ftype = fields[key].type
-        if key in ("general_pool", "domain_pool"):
-            kwargs[key] = tuple(w.strip() for w in raw.split(",") if w.strip())
-        elif ftype in ("bool", "float", "int"):
-            kwargs[key] = getattr(section, ftype)(key)
-        else:
-            kwargs[key] = raw
-    return FixtureRecipe(**kwargs).validate()
+    unknown = set(values) - {f.name for f in fields(FixtureRecipe)}
+    if unknown:
+        raise RecipeError(f"unknown recipe key {min(unknown)!r}")
+    return Section({"recipe": values}, "recipe").load(FixtureRecipe)
 
 
 def _syllables(rng: np.random.Generator, n: int, taken: set[str]) -> list[str]:

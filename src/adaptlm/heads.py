@@ -43,11 +43,11 @@ class FinetuneConfig:
     learning_rate: float = 3e-5
     epochs: int = 3
     seed: int = 0
-    max_len: int = 128
+    max_len: int = 48
     warmup_fraction: float = 0.1
     weight_decay: float = 0.01
     max_answer_subtokens: int = 30
-    doc_stride: int = 128
+    doc_stride: int = 16
     n_best: int = 5
     allow_nonstandard: bool = False
 

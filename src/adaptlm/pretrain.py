@@ -32,19 +32,17 @@ from .vocab import Vocabulary
 REFERENCE_PRETRAIN_BATCH = 192
 REFERENCE_MAX_SEQUENCE_LEN = 512
 
+# BERT's 80/10/10 split of selected positions: [MASK], a random id, unchanged.
+REPLACE_WITH_MASK = 0.80
+REPLACE_WITH_RANDOM = 0.10
+
 
 @dataclass(frozen=True)
 class MaskingPolicy:
     mask_fraction: float = 0.15
-    replace_with_mask: float = 0.80
-    replace_with_random: float = 0.10
-    keep_original: float = 0.10
     seed: int = 0
 
     def validate(self) -> "MaskingPolicy":
-        total = self.replace_with_mask + self.replace_with_random + self.keep_original
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"replacement probabilities sum to {total}, expected 1")
         if not 0.0 < self.mask_fraction < 1.0:
             raise ConfigError("mask_fraction must lie in (0, 1)")
         return self
@@ -66,8 +64,8 @@ class MaskedBatch:
 @dataclass(frozen=True)
 class PretrainConfig:
     steps: int
-    batch_size: int
-    max_len: int
+    batch_size: int = 16
+    max_len: int = 32
     learning_rate: float = 1e-4
     warmup_fraction: float = 0.01
     weight_decay: float = 0.01
@@ -96,9 +94,9 @@ def apply_masking(batch: list[EncodedInput], policy: MaskingPolicy, vocab: Vocab
     """Independently select maskable positions and corrupt them.
 
     Maskable means a real (mask=1) non-special position. Selected positions
-    become [MASK] / a random non-special id / stay unchanged with the
-    policy's probabilities. Deterministic given policy.seed (or the supplied
-    rng stream) and the batch.
+    become [MASK] / a random non-special id / stay unchanged with
+    probabilities 0.8 / 0.1 / 0.1. Deterministic given policy.seed (or the
+    supplied rng stream) and the batch.
     """
     policy.validate()
     if rng is None:
@@ -112,11 +110,10 @@ def apply_masking(batch: list[EncodedInput], policy: MaskingPolicy, vocab: Vocab
     non_special = np.asarray(vocab.non_special_ids(), dtype=np.int32)
     random_ids = non_special[rng.integers(0, len(non_special), ids.shape)]
 
-    t_mask = policy.replace_with_mask
-    t_random = t_mask + policy.replace_with_random
+    t_random = REPLACE_WITH_MASK + REPLACE_WITH_RANDOM
     corrupted = ids.copy()
-    corrupted[selected & (action < t_mask)] = vocab.mask_id
-    use_random = selected & (action >= t_mask) & (action < t_random)
+    corrupted[selected & (action < REPLACE_WITH_MASK)] = vocab.mask_id
+    use_random = selected & (action >= REPLACE_WITH_MASK) & (action < t_random)
     corrupted[use_random] = random_ids[use_random]
 
     labels = np.where(selected, ids, IGNORE_LABEL).astype(np.int64)

@@ -218,17 +218,25 @@ def encode_pieces(pieces: list[str], vocab: Vocabulary, max_len: int,
 
 
 def encode_windows(question: str, passage: str, vocab: Vocabulary, max_len: int,
-                   doc_stride: int = 128) -> list[EncodedInput]:
+                   doc_stride: int) -> list[EncodedInput]:
     """Sliding windows over a long passage, [CLS] Q [SEP] window [SEP].
 
     The question keeps at least one passage position per window. Windows
     start every doc_stride subtokens; the last is the first to reach the
     passage end. Offsets of window subtokens index the full passage string,
-    so spans recovered from any window line up with the original text.
+    so spans recovered from any window line up with the original text. A
+    stride longer than a window would skip passage text, so it is an error
+    whenever the passage needs more than one window.
     """
+    if max_len < 4 or doc_stride < 1:
+        raise ConfigError(f"windows need max_len >= 4 and doc_stride >= 1, "
+                          f"got max_len={max_len}, doc_stride={doc_stride}")
     first = _truncate(split_with_offsets(question, vocab), max_len - 4)
     p_pieces, p_words, p_offs = split_with_offsets(passage, vocab)
     cap = max_len - 3 - len(first[0])
+    if len(p_pieces) > cap and doc_stride > cap:
+        raise ConfigError(f"doc_stride={doc_stride} exceeds the {cap} passage subtokens "
+                          f"a window holds, so windows would skip passage text")
     starts = range(0, max(len(p_pieces) - cap, 0) + doc_stride, doc_stride)
     return [_pack(vocab, max_len, first,
                   (p_pieces[s:s + cap], p_words[s:s + cap], p_offs[s:s + cap]),

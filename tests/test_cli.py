@@ -3,8 +3,11 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adaptlm.cli import main
+from adaptlm.config import SECTIONS
 from adaptlm.data import parse_qa_json
 
 MINI_VOCAB = str(Path("src/adaptlm/assets/vocab_cased_mini.txt").resolve())
@@ -281,6 +284,8 @@ def test_malformed_config_is_config_error(tmp_path, capsys, text):
 @pytest.mark.parametrize("setting, message", [
     ("sweep.seeds=0,a", "[sweep] seeds = 'a' is not an integer"),
     ("sweep.fractions=0.5,x", "[sweep] fractions = 'x' is not a number"),
+    ("sweep.fractions=0.5,nan", "[sweep] fractions = 'nan' is not finite"),
+    ("sweep.seeds=,", "[sweep] seeds lists nothing"),
 ])
 def test_malformed_list_setting_is_config_error(capsys, setting, message):
     assert run("sweep", "--set", "sweep.axis=fraction", "--set", setting, "--dry-run") == 2
@@ -437,3 +442,144 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("text, override, message", [
+    ("", "pretrain.hiden=9", "unknown key 'hiden' in [pretrain]"),
+    ("", "finetune.batchsize=7", "unknown key 'batchsize' in [finetune]"),
+    ("", "sweep.fractionz=0.1", "unknown key 'fractionz' in [sweep]"),
+    ("", "pretrain.seed=9", "unknown key 'seed' in [pretrain]"),
+    ("", "fixtures.seed=1", "unknown config section [fixtures]"),
+    ("[pretrain]\nhiden = 9\n", None, "unknown key 'hiden' in [pretrain]"),
+    ("[fixtures]\nseed = 1\n", None, "unknown config section [fixtures]"),
+], ids=["set-hiden", "set-batchsize", "set-fractionz", "set-pretrain-seed", "set-fixtures",
+        "file-hiden", "file-fixtures"])
+def test_unknown_config_key_or_section_is_config_error(tmp_path, fixture_dir, capsys,
+                                                       text, override, message):
+    cfg = _write_config(tmp_path, fixture_dir)
+    if text:
+        cfg.write_text(text)
+    argv = ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "dry"), "--dry-run"]
+    if override:
+        assert run(*argv) == 0  # the config alone is valid
+        argv += ["--set", override]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_finite_number_is_config_error(tmp_path, fixture_dir, capsys):
+    cfg = _write_config(tmp_path, fixture_dir)
+    assert run("pretrain", "--config", str(cfg), "--out", str(tmp_path / "run"),
+               "--set", "pretrain.learning_rate=nan") == 2
+    assert "[pretrain] learning_rate = 'nan' is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_grid_with_no_batch_sizes_is_config_error(tmp_path, fixture_dir, capsys):
+    cfg = _write_config(tmp_path, fixture_dir)
+    assert run("finetune", "--config", str(cfg), "--out", str(tmp_path / "run"), "--grid",
+               "--set", f"finetune.init={fixture_dir}/vocab.txt",
+               "--set", "finetune.grid_batch_sizes=,") == 2
+    assert "[finetune] grid_batch_sizes lists nothing" in capsys.readouterr().err
+
+
+def test_dry_run_plans_print_the_resolved_config(tmp_path, fixture_dir, capsys):
+    cfg = _write_config(tmp_path, fixture_dir)
+    out = tmp_path / "dry"
+    assert run("pretrain", "--config", str(cfg), "--out", str(out), "--dry-run") == 0
+    plan = capsys.readouterr().out
+    for field in ("'steps': 4", "'ff_dim': 32", "'mask_fraction': 0.15",
+                  "'learning_rate': 0.0001", "'layernorm_epsilon': 1e-12"):
+        assert field in plan, field
+    assert run("finetune", "--config", str(cfg), "--out", str(out), "--dry-run",
+               "--set", f"finetune.init={fixture_dir}/vocab.txt") == 0
+    plan = capsys.readouterr().out
+    for field in ("'max_len': 24", "'doc_stride': 16", "'n_best': 5", "'seed': 3"):
+        assert field in plan, field
+
+
+@pytest.mark.parametrize("argv", [
+    ("finetune", "--dry-run", "--set", "finetune.task=nre",
+     "--set", "finetune.init={fx}/vocab.txt"),
+    ("evaluate", "--set", "evaluate.task=nre", "--set", "evaluate.gold={fx}/qa_test.json",
+     "--set", "evaluate.pred={pred}"),
+], ids=["finetune-dry-run", "evaluate-qa-files"])
+def test_unknown_task_is_config_error(tmp_path, fixture_dir, capsys, argv):
+    pred = tmp_path / "pred.json"
+    pred.write_text("{}")
+    argv = [a.format(fx=fixture_dir, pred=pred) for a in argv]
+    assert run(*argv, "--out", str(tmp_path / "run")) == 2
+    assert "task must be one of ['ner', 're', 'qa'], got 'nre'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("line, code", [
+    ("sentence_words = 0", 2),
+    ("general_words = 0", 2),
+    ("domain_heads = 0", 2),
+    ("distractor_heads = 0", 2),
+    ("markers_per_class = 0", 2),
+    ("term_tails = -1", 2),
+    ("sentences_per_document = -1", 2),
+    ("ner_train = -1", 2),
+    ("qa_bioasq_questions = -1", 2),
+    ("two_word_fraction = 1.5", 2),
+    ("term_tails = 0", 0),
+    ("qa_bioasq_questions = 0", 0),
+])
+def test_recipe_bounds_exit_codes(tmp_path, capsys, line, code):
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text(f"[recipe]\n{line}\n")
+    assert run("fixtures", "--recipe", str(recipe), "--out", str(tmp_path / "fx")) == code
+    if code == 2:
+        assert "config error" in capsys.readouterr().err
+
+
+# Keys each section accepts, misspellings of them, and sections that do not exist.
+_FUZZ_KEYS = [(section, key) for section, keys in SECTIONS.items() for key in keys]
+_FUZZ_KEYS += [(section, key[:-1]) for section, key in _FUZZ_KEYS[::3]]
+_FUZZ_KEYS += [("fixtures", "seed"), ("pretrain", "replace_with_mask"), ("Global", "seed")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "corpus.txt").write_text("the of and\n\nin the\n")
+    (root / "ckpts").mkdir()
+    (root / "ckpts" / "step_000001.ckpt").write_bytes(b"")
+    return root
+
+
+def _fuzz_values(root):
+    paths = [MINI_VOCAB, str(root / "corpus.txt"), str(root / "ckpts"),
+             str(root / "ckpts" / "step_000001.ckpt"), str(root / "missing")]
+    words = ["", "0", "1", "-1", "2", "16", "0.5", "1e-3", "nan", "true", "maybe",
+             "ner", "re", "qa", "nre", "fraction", "checkpoint", "0,1", "a,b", "5e-5,x"]
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+    return st.one_of(st.sampled_from(paths + words), text)
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate", "sweep"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_random_configs_exit_with_documented_codes(fuzz_paths, command, data):
+    values = _fuzz_values(fuzz_paths)
+    base = {"global": {"vocab": MINI_VOCAB},
+            "pretrain": {"corpus": str(fuzz_paths / "corpus.txt"), "steps": "2"},
+            "finetune": {"task": "ner", "init": MINI_VOCAB},
+            "evaluate": {"task": "qa"},
+            "sweep": {"axis": "fraction"}}
+    entries = data.draw(st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), values), max_size=4))
+    for (section, key), value in entries:
+        base.setdefault(section, {})[key] = value
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in base.items())
+    cfg = fuzz_paths / f"{command}.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--out", str(fuzz_paths / "out"), "--dry-run"]
+    for (section, key), value in data.draw(st.lists(
+            st.tuples(st.sampled_from(_FUZZ_KEYS), values), max_size=3)):
+        argv += ["--set", f"{section}.{key}={value}"]
+    assert main(argv) in (0, 2, 3)
+    assert not (fuzz_paths / "out").exists()

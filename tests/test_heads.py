@@ -251,6 +251,14 @@ def test_encode_windows_cover_long_passage(toy_vocab):
     assert len(covered) == 40  # every passage token reachable in some window
 
 
+def test_encode_windows_cover_long_passage_at_default_knobs(toy_vocab):
+    config = FinetuneConfig()
+    windows = encode_windows("a b c", " ".join(["b"] * 191), toy_vocab,
+                             config.max_len, config.doc_stride)
+    covered = {w.offsets[pos] for w in windows for pos in np.flatnonzero(admissible_positions(w))}
+    assert len(covered) == 191
+
+
 def test_filter_unanswerable():
     keep = QAExample("k", "q?", "eruptions of erythrasma seen", gold_answers=("erythrasma",))
     keep_case = QAExample("c", "q?", "ERYTHRASMA!", gold_answers=("erythrasma",))

@@ -25,8 +25,7 @@ SMALL_CORPUS = "a b c d e\nf g h i j\n\nc c d a b\na f g h c\nb d e a f\n"
 def test_policy_validation():
     MaskingPolicy().validate()
     with pytest.raises(ConfigError):
-        MaskingPolicy(replace_with_mask=0.5, replace_with_random=0.1,
-                      keep_original=0.1).validate()
+        MaskingPolicy(mask_fraction=1.0).validate()
     with pytest.raises(ConfigError):
         MaskingPolicy(mask_fraction=0.0).validate()
 

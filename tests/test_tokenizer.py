@@ -212,6 +212,26 @@ def test_single_window_equals_pair_encoding(toy_vocab):
     assert (window.text_a, window.text_b) == (pair.text_a, pair.text_b) == (question, passage)
 
 
+@pytest.mark.parametrize("max_len, doc_stride", [(3, 4), (12, 0)],
+                         ids=["max_len-3", "doc_stride-0"])
+def test_encode_windows_rejects_bad_shape(toy_vocab, max_len, doc_stride):
+    with pytest.raises(ConfigError, match="max_len >= 4 and doc_stride >= 1"):
+        encode_windows("a", "b b", toy_vocab, max_len=max_len, doc_stride=doc_stride)
+
+
+def test_encode_windows_rejects_stride_that_skips_passage_text(toy_vocab):
+    # max_len 12 with a one-subtoken question leaves 8 passage positions a window
+    passage = " ".join(["b"] * 20)
+    with pytest.raises(ConfigError, match="doc_stride=9 exceeds the 8 passage"):
+        encode_windows("a", passage, toy_vocab, max_len=12, doc_stride=9)
+    assert len(encode_windows("a", passage, toy_vocab, max_len=12, doc_stride=8)) == 3
+    # a passage that fits one window takes any stride
+    assert len(encode_windows("a", "b b", toy_vocab, max_len=12, doc_stride=50)) == 1
+    # 191 subtokens in 48-token windows striding 128 would leave 107 of them in none
+    with pytest.raises(ConfigError, match="doc_stride=128"):
+        encode_windows("a b c", " ".join(["b"] * 191), toy_vocab, max_len=48, doc_stride=128)
+
+
 def test_first_subtokens_skip_continuations_specials_and_padding(toy_vocab):
     e = encode_sequence("abcd b ab", "c", toy_vocab, 12)
     # [CLS] abc ##d b ab [SEP] c [SEP] [PAD]...
