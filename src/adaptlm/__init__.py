@@ -16,7 +16,7 @@ from .tokenizer import (EncodedInput, NO_WORD, basic_tokenize, batch_arrays,
                         first_subtokens, split_with_offsets, wordpiece_split)
 from .encoder import (EncoderConfig, EncoderOutput, WeightStore, backward_arrays,
                       expected_shapes, forward_arrays, init_head, init_weights,
-                      scaled_attention, train_step, truncated_normal)
+                      train_step, truncated_normal)
 from .checkpoint import (load_checkpoint, load_checkpoint_file, save_checkpoint,
                          save_checkpoint_file)
 from .pretrain import (IGNORE_LABEL, MaskedBatch, MaskingPolicy, PretrainConfig,
@@ -25,7 +25,7 @@ from .pretrain import (IGNORE_LABEL, MaskedBatch, MaskingPolicy, PretrainConfig,
 from .tags import (TagScheme, bio_to_bioes, bioes_to_bio, check_bio, check_bioes,
                    is_valid_bioes, repair_bioes)
 from .data import (LabeledSentence, QAExample, RelationExample, RelationLabelSet,
-                   bioasq_to_extractive, kfold_split, load_ner_dataset,
+                   bioasq_to_extractive, load_ner_dataset,
                    normalized_occurrences, parse_conll, parse_qa_json,
                    parse_re_tsv, read_bioasq_questions, write_conll,
                    write_qa_json, write_re_tsv)
@@ -33,7 +33,7 @@ from .heads import (FinetuneConfig, FinetuneResult, align_labels,
                     anonymize_entities, extract_span, filter_unanswerable,
                     finetune, ner_decode, predict_ner, predict_qa, predict_re,
                     re_forward)
-from .metrics import (EntitySpan, EvalReport, aggregate_folds, classification_prf,
+from .metrics import (EntitySpan, EvalReport, classification_prf,
                       entity_prf, micro_average, normalize_answer, qa_metrics,
                       spans_from_tags)
 from .fixtures import FixtureRecipe, generate_fixtures, parse_recipe

@@ -9,6 +9,7 @@ sorted name order so identical stores serialize identically.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import struct
@@ -16,6 +17,7 @@ from typing import IO
 
 import numpy as np
 
+from .data import atomic_write
 from .encoder import EncoderConfig, HEAD_PREFIX, WeightStore, expected_shapes
 from .errors import CorruptionError, FormatError
 
@@ -23,14 +25,15 @@ MAGIC = b"MBRT"
 FORMAT_VERSION = 1
 _READ_CHUNK = 1 << 24
 
-_INT_FIELDS = ("vocab_size", "hidden", "layers", "heads", "ff_dim", "max_positions", "seed")
-_FLOAT_FIELDS = ("layernorm_epsilon", "init_std", "dropout")
+# the config text holds every EncoderConfig field in declaration order,
+# ints in decimal and floats by repr
+_FIELDS = {f.name: {"int": int, "float": float}[f.type] for f in dataclasses.fields(EncoderConfig)}
 
 
 def _config_text(store: WeightStore) -> str:
     cfg = store.config
-    lines = [f"{k}={getattr(cfg, k)!r}" if k in _FLOAT_FIELDS else f"{k}={getattr(cfg, k)}"
-             for k in _INT_FIELDS + _FLOAT_FIELDS]
+    lines = [f"{k}={getattr(cfg, k)!r}" if kind is float else f"{k}={getattr(cfg, k)}"
+             for k, kind in _FIELDS.items()]
     for key in sorted(store.metadata):
         value = store.metadata[key]
         if "\n" in key or "\n" in value or "=" in key:
@@ -53,13 +56,12 @@ def _parse_config_text(text: str) -> tuple[EncoderConfig, dict[str, str]]:
         else:
             fields[key] = value
     try:
-        kwargs = {k: int(fields[k]) for k in _INT_FIELDS}
-        kwargs.update({k: float(fields[k]) for k in _FLOAT_FIELDS})
+        kwargs = {k: kind(fields[k]) for k, kind in _FIELDS.items()}
     except KeyError as e:
         raise FormatError(f"config text missing field {e.args[0]}") from None
     except ValueError as e:
         raise FormatError(f"malformed config value: {e}") from None
-    unknown = set(fields) - set(_INT_FIELDS) - set(_FLOAT_FIELDS)
+    unknown = set(fields) - set(_FIELDS)
     if unknown:
         raise FormatError(f"unknown config fields: {sorted(unknown)}")
     return EncoderConfig(**kwargs), metadata
@@ -96,7 +98,7 @@ def save_checkpoint(store: WeightStore, sink: IO[bytes]) -> int:
 
 
 def save_checkpoint_file(store: WeightStore, path) -> int:
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         return save_checkpoint(store, f)
 
 

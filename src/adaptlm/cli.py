@@ -20,15 +20,15 @@ import json
 import statistics
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint_file, save_checkpoint_file
 from .config import (OUTPUT_ROOT_ENV, Section, apply_overrides, load_config,
                      resolve_out, resolve_seed)
-from .data import (LabeledSentence, RelationLabelSet, bioasq_to_extractive,
+from .data import (LabeledSentence, RelationLabelSet, atomic_write, bioasq_to_extractive,
                    load_json, load_ner_dataset, open_text, parse_conll, parse_qa_json,
-                   parse_re_tsv, read_bioasq_questions, write_conll, write_qa_json)
+                   parse_re_tsv, read_bioasq_questions, write_conll, write_json,
+                   write_qa_json)
 from .encoder import EncoderConfig
 from .errors import ConfigError, FormatError, InputError, ToolkitError
 from .fixtures import FixtureRecipe, generate_fixtures, parse_recipe
@@ -76,11 +76,6 @@ def _tag_scheme_from(datasets) -> TagScheme:
 
 def _fingerprint(cfg) -> str:
     return config_fingerprint(json.dumps(cfg, sort_keys=True))
-
-
-def _write_report(report: EvalReport, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(report.to_json() + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +129,10 @@ def _finetune_once(task, cfg, seed, init_path, out_dir, provenance):
     result = finetune(task, train, dev, init, fcfg, vocab, scheme=scheme,
                       labels=labels, intermediate=intermediate, provenance=provenance)
     result.report.config_fingerprint = _fingerprint(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint_file(result.weights, out_dir / "best.ckpt")
-    _write_report(result.report, out_dir / "report.json")
-    with open(out_dir / "log.jsonl", "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(out_dir / "report.json") as f:
+        f.write(result.report.to_json() + "\n")
+    with atomic_write(out_dir / "log.jsonl") as f:
         for record in result.log:
             f.write(json.dumps(record) + "\n")
     return result
@@ -177,8 +172,7 @@ def cmd_finetune(args, cfg) -> int:
             if best is None or metric > best[0]:
                 best = (metric, b, lr)
     summary = {"best_metric": best[0], "batch_size": best[1], "learning_rate": best[2]}
-    (out / "grid_summary.json").write_text(json.dumps(summary, indent=2) + "\n",
-                                           encoding="utf-8")
+    write_json(summary, out / "grid_summary.json", indent=2, sort_keys=False)
     _say(f"best cell: batch={best[1]} lr={best[2]:g} metric={best[0]:.4f}")
     return 0
 
@@ -216,7 +210,8 @@ def cmd_evaluate(args, cfg) -> int:
             report = evaluate_qa(weights, data, vocab, fcfg,
                                  dataset_name=name, provenance=provenance)
     report.config_fingerprint = _fingerprint(cfg)
-    _write_report(report, out / "report.json")
+    with atomic_write(out / "report.json") as f:
+        f.write(report.to_json() + "\n")
     _say(report.to_table())
     _say(f"wrote {out}/report.json")
     return 0
@@ -239,10 +234,14 @@ def _evaluate_prediction_files(task, section, labels, provenance) -> EvalReport:
         report.add_dataset(name, {"precision": p, "recall": r, "f1": f1}, counts)
         return report
     if task == "re":
-        gold = parse_re_tsv(gold_path, labels)
-        pred = parse_re_tsv(pred_path, labels)
-        p, r, f1, counts = classification_prf([e.label for e in gold],
-                                              [e.label for e in pred], labels.positive)
+        gold = _labels_by_id(parse_re_tsv(gold_path, labels), gold_path)
+        pred = _labels_by_id(parse_re_tsv(pred_path, labels), pred_path)
+        unpaired = sorted(gold.keys() ^ pred.keys())
+        if unpaired:
+            where, other = (gold_path, pred_path) if unpaired[0] in gold else (pred_path, gold_path)
+            raise InputError(f"id {unpaired[0]!r} is in {where} but not in {other}")
+        p, r, f1, counts = classification_prf(list(gold.values()),
+                                              [pred[i] for i in gold], labels.positive)
         report = EvalReport(task="re", provenance=provenance)
         report.add_dataset(name, {"precision": p, "recall": r, "f1": f1}, counts)
         return report
@@ -260,29 +259,36 @@ def _evaluate_prediction_files(task, section, labels, provenance) -> EvalReport:
     return report
 
 
+def _labels_by_id(examples, path) -> dict[str, str]:
+    labels = {}
+    for ex in examples:
+        if ex.id in labels:
+            raise InputError(f"{path}: id {ex.id!r} is repeated")
+        labels[ex.id] = ex.label
+    return labels
+
+
 def cmd_convert(args, cfg) -> int:
     pair = (args.source_kind, args.target_kind)
-    out_path = Path(args.output)
     if args.dry_run:
-        _say(f"convert plan: {pair[0]} -> {pair[1]}: {args.input} -> {out_path}")
+        _say(f"convert plan: {pair[0]} -> {pair[1]}: {args.input} -> {args.output}")
         return 0
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     if pair == ("conll-bio", "conll-bioes"):
         sentences = parse_conll(args.input, scheme="bio")
         converted = [LabeledSentence(s.words, tuple(bio_to_bioes(list(s.tags))))
                      for s in sentences]
-        write_conll(converted, out_path)
+        write_conll(converted, args.output)
         _say(f"converted {len(converted)} sentences")
     elif pair == ("conll-bioes", "conll-bio"):
         sentences = parse_conll(args.input, scheme="bioes")
         converted = [LabeledSentence(s.words, tuple(bioes_to_bio(list(s.tags))))
                      for s in sentences]
-        write_conll(converted, out_path)
+        write_conll(converted, args.output)
         _say(f"converted {len(converted)} sentences")
     elif pair in (("conll-bio", "conll-bio"), ("conll-bioes", "conll-bioes")):
         scheme = "bio" if pair[0] == "conll-bio" else "bioes"
         sentences = parse_conll(args.input, scheme=scheme)
-        write_conll(sentences, out_path)
+        write_conll(sentences, args.output)
         _say(f"normalized {len(sentences)} sentences")
     elif pair == ("bioasq", "squad"):
         if not args.passages:
@@ -290,7 +296,7 @@ def cmd_convert(args, cfg) -> int:
         questions = read_bioasq_questions(args.input)
         passages = load_json(args.passages)
         examples, dropped, skipped = bioasq_to_extractive(questions, passages)
-        write_qa_json(examples, out_path)
+        write_qa_json(examples, args.output)
         _say(f"converted {len(examples)} examples; dropped {dropped} unanswerable "
              f"(question, passage) pairs; skipped {skipped} non-factoid questions")
     else:
@@ -329,9 +335,7 @@ def cmd_corpus_stats(args, cfg) -> int:
     for k, v in rows:
         _say(f"{k.ljust(width)}  {v}")
     if not args.dry_run:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "corpus_stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n",
-                                               encoding="utf-8")
+        write_json(stats, out / "corpus_stats.json", indent=2)
         _say(f"wrote {out}/corpus_stats.json")
     return 0
 
@@ -389,21 +393,17 @@ def cmd_sweep(args, cfg) -> int:
                          "recall": round(micro["recall"], 6), "f1": round(micro["f1"], 6)})
             _say(f"cell {axis}={value} seed={seed}: test F1 {micro['f1']:.4f}")
 
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep_rows.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
     summary = []
     for value in values:
         f1s = [r["f1"] for r in rows if r["value"] == value]
         summary.append({"axis": axis, "value": value, "dataset": dataset_name,
                         "median_f1": round(statistics.median(f1s), 6),
                         "min_f1": round(min(f1s), 6), "max_f1": round(max(f1s), 6)})
-    with open(out / "sweep_summary.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(summary[0]))
-        writer.writeheader()
-        writer.writerows(summary)
+    for name, table in (("sweep_rows.csv", rows), ("sweep_summary.csv", summary)):
+        with atomic_write(out / name) as f:
+            writer = csv.DictWriter(f, fieldnames=list(table[0]))
+            writer.writeheader()
+            writer.writerows(table)
     _say(f"wrote {out}/sweep_rows.csv ({len(rows)} rows) and {out}/sweep_summary.csv")
     return 0
 

@@ -1,5 +1,6 @@
-"""Dataset formats: CoNLL token/tag files, relation TSV, SQuAD-shaped QA JSON,
-BioASQ-shaped factoid JSON, plus k-fold splitting.
+"""Dataset formats: CoNLL token/tag files, relation TSV, SQuAD-shaped QA JSON
+and BioASQ-shaped factoid JSON, plus the one text reader and the one file
+writer of the package.
 
 Parsers validate eagerly and report line numbers; every writer's output
 parses back to the same records.
@@ -10,9 +11,10 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field
-
-import numpy as np
+import secrets
+from contextlib import contextmanager
+from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import FormatError, InputError
 from .metrics import normalize_answer
@@ -90,6 +92,33 @@ def open_text(path) -> io.StringIO:
     return io.StringIO(text, newline=None)
 
 
+@contextmanager
+def atomic_write(path, binary: bool = False):
+    """A file to write `path` through, whole or not at all.
+
+    The file is opened on a hidden temporary name beside `path` (UTF-8 with LF
+    newlines unless binary) and replaces `path` on a clean exit; on an
+    exception it is deleted, so an artifact already at `path` survives. The
+    parent directory is created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(doc, path, indent: int = 1, sort_keys: bool = True) -> None:
+    """doc as JSON plus a final newline, written through atomic_write."""
+    with atomic_write(path) as f:
+        json.dump(doc, f, indent=indent, sort_keys=sort_keys)
+        f.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # CoNLL
 # ---------------------------------------------------------------------------
@@ -151,15 +180,12 @@ def parse_conll(stream, scheme: str = "bioes", lenient: bool = False,
     return sentences
 
 
-def write_conll(sentences: list[LabeledSentence], sink) -> None:
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as f:
-            write_conll(sentences, f)
-            return
-    for sentence in sentences:
-        for word, tag in zip(sentence.words, sentence.tags):
-            sink.write(f"{word} {tag}\n")
-        sink.write("\n")
+def write_conll(sentences: list[LabeledSentence], path) -> None:
+    with atomic_write(path) as f:
+        for sentence in sentences:
+            for word, tag in zip(sentence.words, sentence.tags):
+                f.write(f"{word} {tag}\n")
+            f.write("\n")
 
 
 def load_ner_dataset(stream, scheme: str = "bioes", lenient: bool = False) -> list[LabeledSentence]:
@@ -200,14 +226,11 @@ def parse_re_tsv(stream, labels: RelationLabelSet) -> list[RelationExample]:
     return examples
 
 
-def write_re_tsv(examples: list[RelationExample], sink) -> None:
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as f:
-            write_re_tsv(examples, f)
-            return
-    sink.write("id\tsentence\tlabel\n")
-    for ex in examples:
-        sink.write(f"{ex.id}\t{ex.sentence}\t{ex.label}\n")
+def write_re_tsv(examples: list[RelationExample], path) -> None:
+    with atomic_write(path) as f:
+        f.write("id\tsentence\tlabel\n")
+        for ex in examples:
+            f.write(f"{ex.id}\t{ex.sentence}\t{ex.label}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +256,7 @@ def parse_qa_json(source) -> list[QAExample]:
         raise FormatError(f"malformed QA JSON: {e!r}") from None
 
 
-def write_qa_json(examples: list[QAExample], sink, title: str = "dataset") -> None:
+def write_qa_json(examples: list[QAExample], path, title: str = "dataset") -> None:
     paragraphs = [{
         "context": ex.passage,
         "qas": [{
@@ -243,7 +266,7 @@ def write_qa_json(examples: list[QAExample], sink, title: str = "dataset") -> No
         }],
     } for ex in examples]
     doc = {"version": "1.1", "data": [{"title": title, "paragraphs": paragraphs}]}
-    _dump_json(doc, sink)
+    write_json(doc, path)
 
 
 def normalized_occurrences(passage: str, answer: str) -> list[tuple[int, int]]:
@@ -343,35 +366,3 @@ def load_json(source):
         return json.load(source)
     except json.JSONDecodeError as e:
         raise FormatError(f"{where}: malformed JSON: {e}") from None
-
-
-def _dump_json(doc, sink):
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-            f.write("\n")
-        return
-    json.dump(doc, sink, indent=1, sort_keys=True)
-    sink.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# cross-validation
-# ---------------------------------------------------------------------------
-
-def kfold_split(n_items: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]:
-    """k disjoint (train, test) index partitions; test folds cover 0..n-1
-    exactly once and differ in size by at most 1. Deterministic under seed."""
-    if k < 2:
-        raise InputError("k must be >= 2")
-    if k > n_items:
-        raise InputError(f"k={k} exceeds n_items={n_items}")
-    order = np.random.default_rng(seed).permutation(n_items)
-    folds = []
-    bounds = np.linspace(0, n_items, k + 1).round().astype(int)
-    for i in range(k):
-        test = sorted(order[bounds[i]:bounds[i + 1]].tolist())
-        test_set = set(test)
-        train = [j for j in range(n_items) if j not in test_set]
-        folds.append((train, test))
-    return folds

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ContractViolation, InputError
+from .errors import ConfigError, InputError, TransferError
 from .tokenizer import EncodedInput, batch_arrays
 
 MAX_POSITIONS_CEILING = 512
@@ -34,10 +34,10 @@ class EncoderConfig:
     heads: int = 4
     ff_dim: int = 96
     max_positions: int = 64
+    seed: int = 0
     layernorm_epsilon: float = 1e-12
     init_std: float = 0.02
     dropout: float = 0.1
-    seed: int = 0
 
     def validate(self) -> "EncoderConfig":
         if min(self.vocab_size, self.hidden, self.layers, self.heads, self.ff_dim) < 1:
@@ -116,6 +116,20 @@ class WeightStore:
                 raise ConfigError(f"unexpected tensor {name}")
         return self
 
+    def check_compatible(self, vocab, max_len: int) -> None:
+        """Raise unless a run over `vocab` at `max_len` can start from these
+        weights: TransferError for another vocabulary, ConfigError for a
+        max_len beyond max_positions."""
+        cfg, fingerprint = self.config, vocab.fingerprint()
+        if cfg.vocab_size != len(vocab):
+            raise TransferError(f"checkpoint vocab_size {cfg.vocab_size} != vocabulary size {len(vocab)}")
+        stored = self.metadata.get("vocab_fingerprint")
+        if stored is not None and stored != fingerprint:
+            raise TransferError("checkpoint was trained with a different vocabulary "
+                                f"(fingerprint {stored[:12]}... != {fingerprint[:12]}...)")
+        if max_len > cfg.max_positions:
+            raise ConfigError(f"max_len {max_len} exceeds encoder max_positions {cfg.max_positions}")
+
     @property
     def dtype(self):
         return self.tensors["embeddings.token"].dtype
@@ -186,28 +200,6 @@ def _merge_heads(x):
 
 def _dropout_mask(rng, shape, p, dtype):
     return (rng.random(shape) >= p).astype(dtype) * (1.0 / (1.0 - p))
-
-
-def scaled_attention(queries, keys, values, mask, return_weights=False):
-    """Standard scaled dot-product attention over one sequence.
-
-    queries (Lq, d), keys (Lk, d), values (Lk, dv), mask (Lk,) with 0 marking
-    padding. Masked keys receive weight exactly 0. Raises ContractViolation
-    when every key is masked (the softmax would be undefined).
-    """
-    q = np.asarray(queries)
-    k = np.asarray(keys)
-    v = np.asarray(values)
-    m = np.asarray(mask)
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0] or m.shape[0] != k.shape[0]:
-        raise InputError("mismatched attention shapes")
-    if int(m.sum()) == 0:
-        raise ContractViolation("all key positions are masked")
-    scale = 1.0 / math.sqrt(q.shape[1])
-    scores = (q @ k.T * scale)[None, None]
-    weights = kernels.attention_softmax(scores, m[None].astype(q.dtype))[0, 0]
-    out = weights @ v
-    return (out, weights) if return_weights else out
 
 
 def forward_arrays(weights: WeightStore, ids, segments, mask, *,

@@ -21,7 +21,6 @@ exact, UNK-free, and a k-syllable word always yields k subtokens.
 from __future__ import annotations
 
 import configparser
-import json
 import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -29,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import Section
-from .data import (QAExample, RelationExample, open_text, write_conll, write_qa_json,
-                   write_re_tsv, LabeledSentence)
+from .data import (QAExample, RelationExample, atomic_write, open_text, write_conll,
+                   write_json, write_qa_json, write_re_tsv, LabeledSentence)
 from .errors import FormatError, RecipeError
 
 _CONSONANTS = "bdfgklmnprstvz"
@@ -246,7 +245,7 @@ def _domain_sentence(rng, world, n_words):
 
 
 def _write_corpus(path, documents):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for i, doc in enumerate(documents):
             for sentence in doc:
                 f.write(" ".join(sentence) + "\n")
@@ -324,9 +323,8 @@ def generate_fixtures(recipe: FixtureRecipe, seed: int, out_dir) -> dict:
     rng = np.random.default_rng(seed)
     world = _build_world(recipe, rng)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "vocab.txt", "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(out / "vocab.txt") as f:
         f.write("\n".join(world.vocab_entries) + "\n")
 
     spd, nw = recipe.sentences_per_document, recipe.sentence_words
@@ -369,12 +367,8 @@ def generate_fixtures(recipe: FixtureRecipe, seed: int, out_dir) -> dict:
         passages[pid] = ex.passage
         questions.append({"id": ex.id, "type": "factoid", "body": ex.question,
                           "exact_answer": [list(ex.gold_answers)], "documents": [pid]})
-    with open(out / "qa_bioasq.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump({"questions": questions}, f, indent=1, sort_keys=True)
-        f.write("\n")
-    with open(out / "qa_passages.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump(passages, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json({"questions": questions}, out / "qa_bioasq.json")
+    write_json(passages, out / "qa_passages.json")
 
     manifest = {
         "seed": seed,
@@ -390,7 +384,5 @@ def generate_fixtures(recipe: FixtureRecipe, seed: int, out_dir) -> dict:
                              "test": world.distractor_test_terms},
         "markers": {"domain": world.markers_domain, "distractor": world.markers_distractor},
     }
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(manifest, out / "manifest.json")
     return manifest

@@ -20,7 +20,7 @@ from . import kernels
 from .data import LabeledSentence, QAExample, RelationExample, RelationLabelSet
 from .encoder import (HEAD_PREFIX, IGNORE_LABEL, WeightStore, affine_xent,
                       forward_arrays, init_head, train_step)
-from .errors import ConfigError, InputError, NoAnswerError, TransferError
+from .errors import ConfigError, InputError, NoAnswerError
 from .metrics import (EvalReport, classification_prf, entity_prf,
                       normalize_answer, qa_metrics, spans_from_tags)
 from .optimizer import AdamW, linear_schedule
@@ -207,14 +207,6 @@ class FinetuneResult(NamedTuple):
     log: list[dict]
 
 
-def _check_vocab(init: WeightStore, vocab: Vocabulary):
-    stored = init.metadata.get("vocab_fingerprint")
-    if stored is not None and stored != vocab.fingerprint():
-        raise TransferError("checkpoint vocabulary fingerprint does not match the tokenizer")
-    if init.config.vocab_size != len(vocab):
-        raise TransferError(f"checkpoint vocab_size {init.config.vocab_size} != {len(vocab)}")
-
-
 def _task_head(weights: WeightStore, task: str, encodings, targets):
     """The head(hidden) of one fine-tuning batch, for train_step.
 
@@ -398,12 +390,9 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     config.validate()
-    _check_vocab(init, vocab)
+    init.check_compatible(vocab, config.max_len)
     if not train_data and config.epochs > 0:
         raise InputError("empty training set")
-    if config.max_len > init.config.max_positions:
-        raise ConfigError(f"max_len {config.max_len} exceeds encoder max_positions "
-                          f"{init.config.max_positions}")
 
     weights = init.clone()
     init_rng = seed_stream(config.seed, "finetune.init")

@@ -235,24 +235,5 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def aggregate_folds(reports: list[EvalReport]) -> dict:
-    """Cross-validation aggregation, both ways: mean of per-fold metrics and
-    metrics of pooled counts."""
-    if not reports:
-        raise InputError("no fold reports")
-    task = reports[0].task
-    micros = [r.micro for r in reports]
-    keys = list(micros[0])
-    mean_of_folds = {k: sum(m[k] for m in micros) / len(micros) for k in keys}
-    counts = [d["counts"] for r in reports for d in r.datasets]
-    if task == "qa":
-        s, l, m = pool_qa_tallies(counts)
-        pooled = {"strict": s, "lenient": l, "mrr": m}
-    else:
-        p, r, f1 = micro_average(counts)
-        pooled = {"precision": p, "recall": r, "f1": f1}
-    return {"mean_of_folds": mean_of_folds, "pooled": pooled, "folds": len(reports)}
-
-
 def config_fingerprint(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

@@ -268,15 +268,7 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
     if not segments:
         raise InputError("empty corpus")
 
-    fingerprint = vocab.fingerprint()
     if init is not None:
-        if init.config.vocab_size != len(vocab):
-            raise TransferError(
-                f"checkpoint vocab_size {init.config.vocab_size} != vocabulary size {len(vocab)}")
-        stored = init.metadata.get("vocab_fingerprint")
-        if stored is not None and stored != fingerprint:
-            raise TransferError("checkpoint was trained with a different vocabulary "
-                                f"(fingerprint {stored[:12]}... != {fingerprint[:12]}...)")
         if config.encoder is not None and config.encoder != init.config:
             mism = _shape_mismatches(config.encoder, init.config)
             raise TransferError(f"encoder config incompatible with checkpoint; "
@@ -289,11 +281,8 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
         if enc.vocab_size != len(vocab):
             raise ConfigError(f"encoder vocab_size {enc.vocab_size} != vocabulary size {len(vocab)}")
         weights = init_weights(enc)
-    weights.metadata["vocab_fingerprint"] = fingerprint
-
-    if config.max_len > weights.config.max_positions:
-        raise ConfigError(f"max_len {config.max_len} exceeds encoder max_positions "
-                          f"{weights.config.max_positions}")
+    weights.check_compatible(vocab, config.max_len)
+    weights.metadata["vocab_fingerprint"] = vocab.fingerprint()
 
     opt = AdamW(list(expected_shapes(weights.config)), weights.tensors,
                 weight_decay=config.weight_decay)
@@ -302,8 +291,6 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
     dropout_rng = seed_stream(config.seed, "pretrain.dropout")
 
     out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
 
     records = []
     batches = _batch_iterator(len(segments), config.batch_size, order_rng)

@@ -3,8 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from adaptlm.checkpoint import (FORMAT_VERSION, load_checkpoint, load_checkpoint_file,
-                                roundtrip_bytes, save_checkpoint)
+from adaptlm.checkpoint import (FORMAT_VERSION, _config_text, load_checkpoint,
+                                load_checkpoint_file, roundtrip_bytes, save_checkpoint)
 from adaptlm.encoder import EncoderConfig, init_head, init_weights
 from adaptlm.errors import CorruptionError, FormatError
 
@@ -16,6 +16,14 @@ def _store(seed=0, metadata=None):
     if metadata:
         store.metadata.update(metadata)
     return store
+
+
+def test_config_text_keeps_its_on_disk_key_order():
+    # the text follows the EncoderConfig field order; reordering the fields
+    # would change every checkpoint's bytes
+    assert _config_text(_store(metadata={"vocab_fingerprint": "ab12"})) == (
+        "vocab_size=11\nhidden=8\nlayers=1\nheads=2\nff_dim=12\nmax_positions=6\nseed=0\n"
+        "layernorm_epsilon=1e-12\ninit_std=0.02\ndropout=0.1\nmeta.vocab_fingerprint=ab12\n")
 
 
 def test_roundtrip_bit_identical():

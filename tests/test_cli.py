@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from adaptlm.cli import main
 from adaptlm.config import SECTIONS
-from adaptlm.data import parse_qa_json
+from adaptlm.data import atomic_write, parse_qa_json
 
 MINI_VOCAB = str(Path("src/adaptlm/assets/vocab_cased_mini.txt").resolve())
 
@@ -356,6 +356,22 @@ def test_sweep_checkpoint_axis_rejects_non_numeric_step(tmp_path, fixture_dir, c
     assert "step_final.ckpt" in capsys.readouterr().err
 
 
+def test_sweep_checkpoint_axis_skips_a_checkpoint_being_written(tmp_path, fixture_dir, capsys):
+    cfg = _write_config(tmp_path, fixture_dir, extra="[sweep]\naxis = checkpoint\n")
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    real = ["step_000002.ckpt", "step_000004.ckpt"]
+    for name in real:
+        (ckpts / name).write_bytes(b"")
+    with atomic_write(ckpts / "step_000006.ckpt", binary=True) as f:
+        f.write(b"MBRT")
+        assert len(list(ckpts.iterdir())) == 3  # the temporary file is there
+        assert sorted(p.name for p in ckpts.glob("*.ckpt")) == real
+        assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "run"), "--dry-run",
+                   "--set", f"sweep.checkpoints={ckpts}") == 0
+    assert "values=[2, 4] " in capsys.readouterr().out
+
+
 def test_sweep_checkpoint_axis_loads_unpadded_step_name(tmp_path, fixture_dir):
     cfg = _write_config(tmp_path, fixture_dir, extra="[sweep]\naxis = checkpoint\nseeds = 0\n")
     out = tmp_path / "run"
@@ -428,6 +444,29 @@ def test_evaluate_re_prediction_files(tmp_path, fixture_dir):
     assert code == 0
     report = json.loads((out / "evaluate" / "report.json").read_text())
     assert report["micro"]["f1"] == 1.0
+
+
+def test_evaluate_re_prediction_rows_pair_by_id(tmp_path, fixture_dir):
+    gold = fixture_dir / "re_test.tsv"
+    header, *rows = gold.read_text().splitlines(keepends=True)
+    pred = tmp_path / "pred.tsv"
+    pred.write_text(header + "".join(reversed(rows)))
+    out = tmp_path / "run"
+    assert run("evaluate", "--out", str(out), "--set", "evaluate.task=re",
+               "--set", f"evaluate.gold={gold}", "--set", f"evaluate.pred={pred}") == 0
+    report = json.loads((out / "evaluate" / "report.json").read_text())
+    assert report["micro"]["f1"] == 1.0
+
+
+@pytest.mark.parametrize("edit", ["dropped", "repeated"])
+def test_evaluate_re_prediction_id_mismatch_is_data_error(tmp_path, fixture_dir, capsys, edit):
+    gold = fixture_dir / "re_test.tsv"
+    header, first, *rows = gold.read_text().splitlines(keepends=True)
+    pred = tmp_path / "pred.tsv"
+    pred.write_text(header + "".join(rows) + (first + first if edit == "repeated" else ""))
+    assert run("evaluate", "--out", str(tmp_path / "run"), "--set", "evaluate.task=re",
+               "--set", f"evaluate.gold={gold}", "--set", f"evaluate.pred={pred}") == 3
+    assert repr(first.split("\t")[0]) in capsys.readouterr().err
 
 
 def test_unknown_conversion_rejected(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptlm.data import (LabeledSentence, QAExample, RelationLabelSet,
-                          bioasq_to_extractive, kfold_split, load_ner_dataset,
+                          bioasq_to_extractive, load_ner_dataset,
                           normalized_occurrences, parse_conll, parse_qa_json,
                           parse_re_tsv, write_conll, write_qa_json, write_re_tsv)
 from adaptlm.errors import ConfigError, FormatError, InputError, RecipeError
@@ -56,7 +56,7 @@ def test_parse_conll_takes_last_field_as_tag():
     assert sentences[0].tags == ("B-D",)
 
 
-def test_conll_roundtrip_random_sentences(rng):
+def test_conll_roundtrip_random_sentences(rng, tmp_path):
     words = ["alpha", "beta", "gamma", "x1"]
     sentences = []
     for _ in range(100):
@@ -73,9 +73,8 @@ def test_conll_roundtrip_random_sentences(rng):
         sentences.append(LabeledSentence(
             tuple(words[int(rng.integers(len(words)))] for _ in range(n)),
             tuple(tags if _valid(tags) else ["O"] * n)))
-    buf = io.StringIO()
-    write_conll(sentences, buf)
-    parsed = parse_conll(io.StringIO(buf.getvalue()), scheme="bioes", lenient=True)
+    write_conll(sentences, tmp_path / "s.conll")
+    parsed = parse_conll(tmp_path / "s.conll", scheme="bioes", lenient=True)
     assert parsed == sentences
 
 
@@ -132,7 +131,7 @@ def test_bioes_bio_roundtrip_preserves_spans(rng):
 LABELS = RelationLabelSet(("negative", "positive"))
 
 
-def test_parse_re_tsv_roundtrip():
+def test_parse_re_tsv_roundtrip(tmp_path):
     examples = [
         # sentence contains typed placeholders
         *(parse_re_tsv(io.StringIO(
@@ -141,9 +140,8 @@ def test_parse_re_tsv_roundtrip():
             "r2\t@GENE$ near @DISEASE$ .\tnegative\n"), LABELS))]
     assert len(examples) == 2
     assert examples[0].label == "positive"
-    buf = io.StringIO()
-    write_re_tsv(examples, buf)
-    again = parse_re_tsv(io.StringIO(buf.getvalue()), LABELS)
+    write_re_tsv(examples, tmp_path / "r.tsv")
+    again = parse_re_tsv(tmp_path / "r.tsv", LABELS)
     assert again == examples
 
 
@@ -220,38 +218,6 @@ def test_bioasq_dangling_passage_id():
                   "documents": ["nope", "d1"]}]
     with pytest.raises(FormatError, match="nope"):
         bioasq_to_extractive(questions, {"d1": "x here"})
-
-
-# --- kfold ---
-
-def test_kfold_each_item_once():
-    folds = kfold_split(10, 10, seed=0)
-    assert len(folds) == 10
-    tests = [t for _, test in folds for t in test]
-    assert sorted(tests) == list(range(10))
-    assert all(len(test) == 1 for _, test in folds)
-
-
-def test_kfold_balance():
-    folds = kfold_split(7, 3, seed=1)
-    sizes = sorted(len(test) for _, test in folds)
-    assert sizes == [2, 2, 3]
-
-
-def test_kfold_deterministic_and_disjoint():
-    a = kfold_split(23, 5, seed=9)
-    b = kfold_split(23, 5, seed=9)
-    assert a == b
-    for (train, test) in a:
-        assert not set(train) & set(test)
-        assert sorted(set(train) | set(test)) == list(range(23))
-
-
-def test_kfold_errors():
-    with pytest.raises(InputError):
-        kfold_split(3, 5, seed=0)
-    with pytest.raises(InputError):
-        kfold_split(5, 1, seed=0)
 
 
 # --- fixtures ---

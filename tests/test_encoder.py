@@ -1,11 +1,32 @@
+import math
+
 import numpy as np
 import pytest
 
 from adaptlm.encoder import (EncoderConfig, expected_shapes, forward_arrays,
-                             backward_arrays, init_weights, scaled_attention,
-                             truncated_normal)
+                             backward_arrays, init_weights, truncated_normal)
 from adaptlm.errors import ConfigError, ContractViolation, InputError
 from adaptlm.tokenizer import batch_arrays, encode_sequence
+
+
+def scaled_attention(queries, keys, values, mask, return_weights=False):
+    """Reference scaled dot-product attention over one sequence, in plain
+    numpy and independent of the kernels it checks.
+
+    queries (Lq, d), keys (Lk, d), values (Lk, dv), mask (Lk,) with 0 marking
+    padding. Masked keys receive weight exactly 0. Raises ContractViolation
+    when every key is masked (the softmax would be undefined).
+    """
+    q, k, v, m = (np.asarray(a) for a in (queries, keys, values, mask))
+    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0] or m.shape[0] != k.shape[0]:
+        raise InputError("mismatched attention shapes")
+    if int(m.sum()) == 0:
+        raise ContractViolation("all key positions are masked")
+    scores = np.where(m > 0, q @ k.T / math.sqrt(q.shape[1]), -np.inf)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)
+    out = weights @ v
+    return (out, weights) if return_weights else out
 
 
 def test_config_validation():
@@ -108,6 +129,24 @@ def test_scaled_attention_rows_sum_to_one(rng):
             mask[0] = 1
         _, w = scaled_attention(q, k, v, mask, return_weights=True)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
+
+
+def test_forward_attention_matches_reference_per_row_and_head(toy_vocab):
+    cfg = EncoderConfig(vocab_size=len(toy_vocab), hidden=8, layers=1, heads=2, ff_dim=16,
+                        max_positions=12, dropout=0.0, init_std=0.5, seed=3)
+    batch = [encode_sequence("a b c d e f", None, toy_vocab, 10),
+             encode_sequence("a b", None, toy_vocab, 10)]  # padded row
+    ids, segments, mask = batch_arrays(batch)
+    assert mask[1].sum() < mask.shape[1]
+    _, cache = forward_arrays(init_weights(cfg), ids, segments, mask, return_cache=True)
+    layer = cache["layers"][0]
+    context = layer["probs"] @ layer["vh"]
+    for row in range(len(batch)):
+        for head in range(cfg.heads):
+            out, w = scaled_attention(layer["qh"][row, head], layer["kh"][row, head],
+                                      layer["vh"][row, head], mask[row], return_weights=True)
+            np.testing.assert_allclose(layer["probs"][row, head], w, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(context[row, head], out, rtol=1e-5, atol=1e-6)
 
 
 def test_forward_output_shapes(tiny_weights, toy_vocab):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from adaptlm.errors import InputError
-from adaptlm.metrics import (EntitySpan, EvalReport, aggregate_folds,
-                             classification_prf, entity_prf, micro_average,
-                             normalize_answer, pool_qa_tallies, qa_metrics,
+from adaptlm.metrics import (EntitySpan, EvalReport, classification_prf, entity_prf,
+                             micro_average, normalize_answer, pool_qa_tallies, qa_metrics,
                              spans_from_tags)
 from adaptlm.tags import bio_to_bioes, is_valid_bioes, repair_bioes
 
@@ -220,19 +219,6 @@ def test_qa_report_invariant_strict_mrr_lenient():
     report.add_dataset("q", {"strict": 0.5, "lenient": 1.0, "mrr": 0.75}, tallies)
     micro = report.micro
     assert micro["strict"] <= micro["mrr"] <= micro["lenient"]
-
-
-def test_aggregate_folds_reports_both_conventions():
-    r1 = EvalReport(task="ner")
-    r1.add_dataset("f0", {"precision": 1.0, "recall": 1.0, "f1": 1.0},
-                   {"tp": 2, "fp": 0, "fn": 0})
-    r2 = EvalReport(task="ner")
-    r2.add_dataset("f1", {"precision": 0.0, "recall": 0.0, "f1": 0.0},
-                   {"tp": 0, "fp": 2, "fn": 2})
-    agg = aggregate_folds([r1, r2])
-    assert agg["mean_of_folds"]["f1"] == 0.5
-    assert agg["pooled"]["f1"] == 0.5  # tp=2 fp=2 fn=2 -> p=r=f1=0.5
-    assert agg["folds"] == 2
 
 
 def test_repair_then_extract_is_always_valid(rng):
