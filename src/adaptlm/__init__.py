@@ -31,8 +31,7 @@ from .data import (LabeledSentence, QAExample, RelationExample, RelationLabelSet
                    write_qa_json, write_re_tsv)
 from .heads import (FinetuneConfig, FinetuneResult, align_labels,
                     anonymize_entities, extract_span, filter_unanswerable,
-                    finetune, ner_decode, predict_ner, predict_qa, predict_re,
-                    re_forward)
+                    finetune, ner_decode, predict_ner, predict_qa, predict_re)
 from .metrics import (EntitySpan, EvalReport, classification_prf,
                       entity_prf, micro_average, normalize_answer, qa_metrics,
                       spans_from_tags)

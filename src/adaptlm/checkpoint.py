@@ -114,6 +114,13 @@ def _read_exact(source: IO[bytes], n: int, what: str) -> bytes:
     return b"".join(chunks)
 
 
+def _read_utf8(source: IO[bytes], n: int, what: str) -> str:
+    try:
+        return _read_exact(source, n, what).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} is not UTF-8: {e}") from None
+
+
 def _stream_end(source: IO[bytes]) -> int | None:
     """Offset of the end of a seekable stream, None for one that cannot seek."""
     if not source.seekable():
@@ -133,11 +140,7 @@ def load_checkpoint(source: IO[bytes]) -> WeightStore:
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
     (cfg_len,) = struct.unpack("<I", _read_exact(source, 4, "config length"))
-    try:
-        cfg_text = _read_exact(source, cfg_len, "config text").decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"config text is not UTF-8: {e}") from None
-    config, metadata = _parse_config_text(cfg_text)
+    config, metadata = _parse_config_text(_read_utf8(source, cfg_len, "config text"))
     want = expected_shapes(config)
     end = _stream_end(source)
 
@@ -145,7 +148,7 @@ def load_checkpoint(source: IO[bytes]) -> WeightStore:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", _read_exact(source, 4, "tensor name length"))
-        name = _read_exact(source, name_len, "tensor name").decode("utf-8")
+        name = _read_utf8(source, name_len, "tensor name")
         if name in tensors:
             raise CorruptionError(f"duplicate tensor {name}")
         (rank,) = struct.unpack("<I", _read_exact(source, 4, f"rank of {name}"))
@@ -161,7 +164,10 @@ def load_checkpoint(source: IO[bytes]) -> WeightStore:
             raise CorruptionError(f"truncated stream: payload of tensor {name} declares "
                                   f"{n_bytes} bytes, more than the stream holds")
         payload = _read_exact(source, n_bytes, f"payload of tensor {name}")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        except ValueError as e:  # an empty tensor with a dimension numpy cannot index
+            raise CorruptionError(f"tensor {name} has shape {shape}: {e}") from None
     missing = sorted(set(want) - set(tensors))
     if missing:
         raise CorruptionError(f"missing tensors: {missing}")

@@ -7,8 +7,8 @@ Every subcommand is config-driven (--config, overridable with repeated
 config and seed produce byte-identical checkpoints, reports and CSVs
 (the step log carries wall-clock times and is exempt).
 
-Exit codes: 0 success, 2 configuration error, 3 data-format error,
-4 compute error.
+Exit codes: 0 success, 2 configuration error (including an OSError on a
+configured path), 3 data-format error, 4 compute error.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .encoder import EncoderConfig
 from .errors import ConfigError, FormatError, InputError, ToolkitError
 from .fixtures import FixtureRecipe, generate_fixtures, parse_recipe
 from .heads import (GRID_BATCH_SIZES, GRID_LEARNING_RATES, TASKS, FinetuneConfig,
-                    evaluate_ner, evaluate_qa, evaluate_re, finetune)
-from .metrics import (EvalReport, classification_prf, config_fingerprint,
-                      entity_prf, qa_metrics, spans_from_tags)
+                    evaluate, finetune, trained_scheme)
+from .metrics import config_fingerprint, score
 from .pretrain import (MaskingPolicy, PretrainConfig, read_corpus,
                        subsample_documents, train_mlm)
 from .tags import TagScheme, bio_to_bioes, bioes_to_bio, parse_tag
@@ -106,7 +105,8 @@ def cmd_pretrain(args, cfg) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     _say(f"pretraining ({mode}) on {corpus_path} for {pcfg.steps} steps, seed {seed}")
-    with open(out / "metrics.jsonl", "w", encoding="utf-8", newline="\n") as log:
+    # line-buffered, so a killed run leaves every finished step's line
+    with open(out / "metrics.jsonl", "w", encoding="utf-8", newline="\n", buffering=1) as log:
         weights, records = train_mlm(corpus_path, pcfg, vocab, init,
                                      out_dir=out, log_sink=log)
     _say(f"final loss {records[-1]['loss']:.4f}, accuracy {records[-1]['accuracy']:.4f}")
@@ -191,24 +191,19 @@ def cmd_evaluate(args, cfg) -> int:
         _say(f"would write: {out}/report.json")
         return 0
 
+    fcfg = Section(cfg, "finetune").load(FinetuneConfig, seed=seed)
+    name = section.str("dataset_name", "eval")
     if section.has("pred"):
-        report = _evaluate_prediction_files(task, section, labels, provenance)
+        gold, pred = _prediction_files(task, section, labels)
+        report = score(task, gold, pred, name, provenance,
+                       positive=labels.positive if labels else (), n_best=fcfg.n_best)
     else:
         vocab = _load_vocab(cfg)
         weights = load_checkpoint_file(section.path("checkpoint"))
         data = _task_data(task, section, "data", labels)
-        fcfg = Section(cfg, "finetune").load(FinetuneConfig, seed=seed)
-        name = section.str("dataset_name", "eval")
-        if task == "ner":
-            scheme = _tag_scheme_from([data])
-            report = evaluate_ner(weights, data, vocab, scheme, fcfg.max_len,
-                                  dataset_name=name, provenance=provenance)
-        elif task == "re":
-            report = evaluate_re(weights, data, vocab, labels, fcfg.max_len,
-                                 dataset_name=name, provenance=provenance)
-        else:
-            report = evaluate_qa(weights, data, vocab, fcfg,
-                                 dataset_name=name, provenance=provenance)
+        scheme = (trained_scheme(weights) or _tag_scheme_from([data])) if task == "ner" else None
+        report = evaluate(task, weights, data, vocab, fcfg, scheme=scheme, labels=labels,
+                          dataset_name=name, provenance=provenance)
     report.config_fingerprint = _fingerprint(cfg)
     with atomic_write(out / "report.json") as f:
         f.write(report.to_json() + "\n")
@@ -217,55 +212,42 @@ def cmd_evaluate(args, cfg) -> int:
     return 0
 
 
-def _evaluate_prediction_files(task, section, labels, provenance) -> EvalReport:
-    gold_path = section.path("gold")
-    pred_path = section.path("pred")
-    name = section.str("dataset_name", "eval")
+def _prediction_files(task, section, labels) -> tuple[list, list]:
+    """Parallel task-native gold and predictions from the [evaluate] gold and
+    pred files: NER sentences pair in file order, RE and QA rows by id."""
+    gold_path, pred_path = section.path("gold"), section.path("pred")
     if task == "ner":
         scheme = section.str("scheme", "bioes")
         gold = load_ner_dataset(gold_path, scheme=scheme)
         pred = load_ner_dataset(pred_path, scheme=scheme,
                                 lenient=section.bool("lenient", True))
-        if len(gold) != len(pred):
-            raise InputError(f"{len(gold)} gold sentences vs {len(pred)} predicted")
-        p, r, f1, counts = entity_prf([spans_from_tags(list(s.tags)) for s in gold],
-                                      [spans_from_tags(list(s.tags)) for s in pred])
-        report = EvalReport(task="ner", provenance=provenance)
-        report.add_dataset(name, {"precision": p, "recall": r, "f1": f1}, counts)
-        return report
+        return [s.tags for s in gold], [s.tags for s in pred]
     if task == "re":
-        gold = _labels_by_id(parse_re_tsv(gold_path, labels), gold_path)
-        pred = _labels_by_id(parse_re_tsv(pred_path, labels), pred_path)
-        unpaired = sorted(gold.keys() ^ pred.keys())
-        if unpaired:
-            where, other = (gold_path, pred_path) if unpaired[0] in gold else (pred_path, gold_path)
-            raise InputError(f"id {unpaired[0]!r} is in {where} but not in {other}")
-        p, r, f1, counts = classification_prf(list(gold.values()),
-                                              [pred[i] for i in gold], labels.positive)
-        report = EvalReport(task="re", provenance=provenance)
-        report.add_dataset(name, {"precision": p, "recall": r, "f1": f1}, counts)
-        return report
-    gold = parse_qa_json(gold_path)
-    ranked_by_id = load_json(pred_path)
-    if not (isinstance(ranked_by_id, dict) and all(
-            isinstance(answers, list) and all(isinstance(a, str) for a in answers)
-            for answers in ranked_by_id.values())):
-        raise FormatError(f"{pred_path}: QA predictions must be a JSON object "
-                          "mapping each question id to a list of answer strings")
-    ranked = [ranked_by_id.get(ex.id, []) for ex in gold]
-    strict, lenient, mrr, tallies = qa_metrics(ranked, [list(ex.gold_answers) for ex in gold])
-    report = EvalReport(task="qa", provenance=provenance)
-    report.add_dataset(name, {"strict": strict, "lenient": lenient, "mrr": mrr}, tallies)
-    return report
+        gold, pred = (_by_id([(ex.id, ex.label) for ex in parse_re_tsv(path, labels)], path)
+                      for path in (gold_path, pred_path))
+    else:
+        gold = _by_id([(ex.id, ex.gold_answers) for ex in parse_qa_json(gold_path)], gold_path)
+        pred = load_json(pred_path)
+        if not (isinstance(pred, dict) and all(
+                isinstance(answers, list) and all(isinstance(a, str) for a in answers)
+                for answers in pred.values())):
+            raise FormatError(f"{pred_path}: QA predictions must be a JSON object "
+                              "mapping each question id to a list of answer strings")
+    unpaired = sorted(gold.keys() ^ pred.keys())
+    if unpaired:
+        where, other = (gold_path, pred_path) if unpaired[0] in gold else (pred_path, gold_path)
+        raise InputError(f"id {unpaired[0]!r} is in {where} but not in {other}")
+    return list(gold.values()), [pred[key] for key in gold]
 
 
-def _labels_by_id(examples, path) -> dict[str, str]:
-    labels = {}
-    for ex in examples:
-        if ex.id in labels:
-            raise InputError(f"{path}: id {ex.id!r} is repeated")
-        labels[ex.id] = ex.label
-    return labels
+def _by_id(rows, path) -> dict:
+    """{id: value} from (id, value) rows; a repeated id is a data error."""
+    values = {}
+    for key, value in rows:
+        if key in values:
+            raise InputError(f"{path}: id {key!r} is repeated")
+        values[key] = value
+    return values
 
 
 def cmd_convert(args, cfg) -> int:
@@ -385,12 +367,10 @@ def cmd_sweep(args, cfg) -> int:
             fcfg = fin_section.load(FinetuneConfig, seed=seed)
             result = finetune("ner", train, dev, init_store, fcfg, vocab, scheme=scheme,
                               provenance=f"sweep axis={axis} value={value} seed={seed}")
-            report = evaluate_ner(result.weights, test, vocab, scheme, fcfg.max_len,
-                                  dataset_name=dataset_name)
-            micro = report.micro
-            rows.append({"axis": axis, "value": value, "dataset": dataset_name,
-                         "seed": seed, "precision": round(micro["precision"], 6),
-                         "recall": round(micro["recall"], 6), "f1": round(micro["f1"], 6)})
+            micro = evaluate("ner", result.weights, test, vocab, fcfg, scheme=scheme,
+                             dataset_name=dataset_name).micro
+            rows.append({"axis": axis, "value": value, "dataset": dataset_name, "seed": seed,
+                         **{k: round(v, 6) for k, v in micro.items()}})
             _say(f"cell {axis}={value} seed={seed}: test F1 {micro['f1']:.4f}")
 
     summary = []
@@ -509,7 +489,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if getattr(args, "config", None) else {}
         cfg = apply_overrides(cfg, getattr(args, "set", None) or [])
         return args.func(args, cfg)
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:  # an OSError names a configured path
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (FormatError, InputError) as e:

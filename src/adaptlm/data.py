@@ -244,16 +244,23 @@ def parse_qa_json(source) -> list[QAExample]:
         examples = []
         for article in doc["data"]:
             for paragraph in article["paragraphs"]:
-                passage = paragraph["context"]
+                passage = _typed(paragraph["context"], str)
                 for qa in paragraph["qas"]:
-                    answers = tuple((a["text"], int(a["answer_start"]))
+                    answers = tuple((_typed(a["text"], str), _typed(a["answer_start"], int))
                                     for a in qa["answers"])
                     examples.append(QAExample(
-                        id=str(qa["id"]), question=qa["question"], passage=passage,
+                        id=str(qa["id"]), question=_typed(qa["question"], str), passage=passage,
                         answers=answers))
         return examples
     except (KeyError, TypeError) as e:
         raise FormatError(f"malformed QA JSON: {e!r}") from None
+
+
+def _typed(value, kind: type):
+    """value, unless it is not a `kind` (a bool is no int): TypeError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
 
 
 def write_qa_json(examples: list[QAExample], path, title: str = "dataset") -> None:
@@ -305,19 +312,21 @@ def normalized_occurrences(passage: str, answer: str) -> list[tuple[int, int]]:
 
 def read_bioasq_questions(source) -> list[dict]:
     doc = load_json(source)
-    if "questions" not in doc or not isinstance(doc["questions"], list):
-        raise FormatError("BioASQ JSON must contain a 'questions' list")
-    return doc["questions"]
+    questions = doc.get("questions") if isinstance(doc, dict) else None
+    if not (isinstance(questions, list) and all(
+            isinstance(q, dict) and isinstance(q.get("documents", []), list) for q in questions)):
+        raise FormatError("BioASQ JSON must contain a 'questions' list of objects, "
+                          "each with a list of documents")
+    return questions
 
 
 def _gold_strings(exact_answer) -> list[str]:
     """BioASQ exact_answer may be a string, a list, or a list of synonym lists."""
     if isinstance(exact_answer, str):
         return [exact_answer]
-    out = []
-    for item in exact_answer:
-        out.extend(_gold_strings(item))
-    return out
+    if not isinstance(exact_answer, list):
+        raise FormatError(f"exact_answer holds {exact_answer!r}, not a string or a list")
+    return [gold for item in exact_answer for gold in _gold_strings(item)]
 
 
 def bioasq_to_extractive(questions: list[dict], passages: dict[str, str]):
@@ -327,10 +336,12 @@ def bioasq_to_extractive(questions: list[dict], passages: dict[str, str]):
     of every gold answer becomes a located span; pairs with no occurrence are
     dropped and counted. Returns (examples, dropped_count, skipped_non_factoid).
     """
+    if not (isinstance(passages, dict) and all(isinstance(p, str) for p in passages.values())):
+        raise FormatError("passages must be a JSON object mapping ids to passage text")
     factoids = [q for q in questions if q.get("type") == "factoid"]
     skipped = len(questions) - len(factoids)
     missing = sorted({str(d) for q in factoids for d in q.get("documents", [])
-                      if d not in passages})
+                      if not (isinstance(d, str) and d in passages)})
     if missing:
         raise FormatError(f"questions reference unknown passage ids: {missing}")
 
@@ -364,5 +375,5 @@ def load_json(source):
         where, source = source, open_text(source)
     try:
         return json.load(source)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"{where}: malformed JSON: {e}") from None

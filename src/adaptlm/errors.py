@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-CLI exit codes: ConfigError -> 2, FormatError/InputError -> 3, everything
-else under ToolkitError -> 4.
+CLI exit codes: ConfigError (and an OSError on a configured path) -> 2,
+FormatError/InputError -> 3, everything else under ToolkitError -> 4.
 """
 
 

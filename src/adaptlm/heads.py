@@ -21,8 +21,7 @@ from .data import LabeledSentence, QAExample, RelationExample, RelationLabelSet
 from .encoder import (HEAD_PREFIX, IGNORE_LABEL, WeightStore, affine_xent,
                       forward_arrays, init_head, train_step)
 from .errors import ConfigError, InputError, NoAnswerError
-from .metrics import (EvalReport, classification_prf, entity_prf,
-                      normalize_answer, qa_metrics, spans_from_tags)
+from .metrics import EvalReport, normalize_answer, score
 from .optimizer import AdamW, linear_schedule
 from .pretrain import seed_stream
 from .tags import TagScheme, repair_bioes
@@ -85,11 +84,22 @@ def align_labels(sentence: LabeledSentence, encoded: EncodedInput,
     return labels
 
 
-def head_logits(hidden: np.ndarray, weights: WeightStore, task: str) -> np.ndarray:
-    """Affine map of hidden vectors through the head.<task> tensors."""
-    w = weights.tensors[f"{HEAD_PREFIX}{task}.weight"]
-    b = weights.tensors[f"{HEAD_PREFIX}{task}.bias"]
-    return hidden @ w + b
+def head_logits(hidden: np.ndarray, weights: WeightStore, task: str, n_out: int) -> np.ndarray:
+    """Affine map of hidden vectors through the head.<task> tensors, which
+    must exist and emit n_out values per vector."""
+    w = weights.tensors.get(f"{HEAD_PREFIX}{task}.weight")
+    if w is None:
+        raise InputError(f"the checkpoint has no {task} head")
+    if w.shape[-1] != n_out:
+        raise InputError(f"the {task} head emits {w.shape[-1]} values where {n_out} are expected")
+    return hidden @ w + weights.tensors[f"{HEAD_PREFIX}{task}.bias"]
+
+
+def trained_scheme(weights: WeightStore) -> TagScheme | None:
+    """The tag scheme the NER head was fine-tuned with, None for weights that
+    do not record it. The types are joined by spaces, which tags cannot hold."""
+    types = weights.metadata.get("entity_types")
+    return None if types is None else TagScheme(tuple(types.split(" ")))
 
 
 def ner_decode(logits: np.ndarray, encoded: EncodedInput, scheme: TagScheme,
@@ -106,16 +116,6 @@ def ner_decode(logits: np.ndarray, encoded: EncodedInput, scheme: TagScheme,
     for w, tag_id in zip(words[keep], np.argmax(logits[positions[keep]], axis=-1)):
         raw[w] = scheme.tag(int(tag_id))
     return repair_bioes(raw)
-
-
-def re_forward(pooled: np.ndarray, weights: WeightStore,
-               labels: RelationLabelSet) -> np.ndarray:
-    """Class logits (batch, n_labels) from position-0 vectors; argmax (first
-    wins on ties) is the predicted relation."""
-    logits = head_logits(pooled, weights, "re")
-    if logits.shape[-1] != len(labels.labels):
-        raise InputError(f"head emits {logits.shape[-1]} classes for {len(labels.labels)} labels")
-    return logits
 
 
 def anonymize_entities(sentence: str, spans: list[tuple[int, int, str]]) -> str:
@@ -293,7 +293,7 @@ def predict_ner(weights: WeightStore, sentences: list[LabeledSentence],
     encodings = [encode_sequence(" ".join(s.words), None, vocab, max_len)
                  for s in sentences]
     logits = _batched_logits(weights, encodings,
-                             lambda hidden: head_logits(hidden, weights, "ner"))
+                             lambda hidden: head_logits(hidden, weights, "ner", len(scheme)))
     return [ner_decode(row, enc, scheme, len(s.words))
             for row, enc, s in zip(logits, encodings, sentences)]
 
@@ -301,9 +301,9 @@ def predict_ner(weights: WeightStore, sentences: list[LabeledSentence],
 def predict_re(weights: WeightStore, examples: list[RelationExample],
                vocab: Vocabulary, labels: RelationLabelSet, max_len: int) -> list[str]:
     encodings = [encode_sequence(ex.sentence, None, vocab, max_len) for ex in examples]
-    logits = _batched_logits(
-        weights, encodings,
-        lambda hidden: re_forward(np.ascontiguousarray(hidden[:, 0]), weights, labels))
+    logits = _batched_logits(weights, encodings, lambda hidden: head_logits(
+        np.ascontiguousarray(hidden[:, 0]), weights, "re", len(labels.labels)))
+    # class logits from the position-0 vectors; the first label wins a tie
     return [labels.labels[int(np.argmax(row))] for row in logits]
 
 
@@ -314,7 +314,7 @@ def predict_qa(weights: WeightStore, examples: list[QAExample], vocab: Vocabular
     windows = [encode_windows(ex.question, ex.passage, vocab, config.max_len,
                               config.doc_stride) for ex in examples]
     logits = _batched_logits(weights, [w for ex_windows in windows for w in ex_windows],
-                             lambda hidden: head_logits(hidden, weights, "qa"))
+                             lambda hidden: head_logits(hidden, weights, "qa", 2))
     ranked_all = []
     for ex_windows in windows:
         candidates: list[SpanPrediction] = []
@@ -342,37 +342,38 @@ def predict_qa(weights: WeightStore, examples: list[QAExample], vocab: Vocabular
 
 
 def evaluate_ner(weights, sentences, vocab, scheme, max_len,
-                 dataset_name="dev", provenance="unspecified",
-                 fingerprint="-") -> EvalReport:
+                 dataset_name="dev", provenance="unspecified") -> EvalReport:
     pred = predict_ner(weights, sentences, vocab, scheme, max_len)
-    gold_spans = [spans_from_tags(list(s.tags)) for s in sentences]
-    pred_spans = [spans_from_tags(t) for t in pred]
-    p, r, f1, counts = entity_prf(gold_spans, pred_spans)
-    report = EvalReport(task="ner", provenance=provenance, config_fingerprint=fingerprint)
-    report.add_dataset(dataset_name, {"precision": p, "recall": r, "f1": f1}, counts)
-    return report
+    return score("ner", [s.tags for s in sentences], pred, dataset_name, provenance)
 
 
 def evaluate_re(weights, examples, vocab, labels, max_len,
-                dataset_name="dev", provenance="unspecified",
-                fingerprint="-") -> EvalReport:
+                dataset_name="dev", provenance="unspecified") -> EvalReport:
     pred = predict_re(weights, examples, vocab, labels, max_len)
-    gold = [ex.label for ex in examples]
-    p, r, f1, counts = classification_prf(gold, pred, labels.positive)
-    report = EvalReport(task="re", provenance=provenance, config_fingerprint=fingerprint)
-    report.add_dataset(dataset_name, {"precision": p, "recall": r, "f1": f1}, counts)
-    return report
+    return score("re", [ex.label for ex in examples], pred, dataset_name, provenance,
+                 positive=labels.positive)
 
 
 def evaluate_qa(weights, examples, vocab, config,
-                dataset_name="dev", provenance="unspecified",
-                fingerprint="-") -> EvalReport:
-    ranked = predict_qa(weights, examples, vocab, config)
-    gold = [list(ex.gold_answers) for ex in examples]
-    strict, lenient, mrr, tallies = qa_metrics(ranked, gold, n_best=config.n_best)
-    report = EvalReport(task="qa", provenance=provenance, config_fingerprint=fingerprint)
-    report.add_dataset(dataset_name, {"strict": strict, "lenient": lenient, "mrr": mrr}, tallies)
-    return report
+                dataset_name="dev", provenance="unspecified") -> EvalReport:
+    pred = predict_qa(weights, examples, vocab, config)
+    return score("qa", [ex.gold_answers for ex in examples], pred, dataset_name, provenance,
+                 n_best=config.n_best)
+
+
+def evaluate(task: str, weights: WeightStore, data, vocab: Vocabulary,
+             config: FinetuneConfig, *, scheme: TagScheme | None = None,
+             labels: RelationLabelSet | None = None, dataset_name: str = "dev",
+             provenance: str = "unspecified") -> EvalReport:
+    """The model's predictions on data scored by the task's scorer; NER
+    decodes with `scheme`, RE with `labels`."""
+    if task == "ner":
+        return evaluate_ner(weights, data, vocab, scheme, config.max_len,
+                            dataset_name, provenance)
+    if task == "re":
+        return evaluate_re(weights, data, vocab, labels, config.max_len,
+                           dataset_name, provenance)
+    return evaluate_qa(weights, data, vocab, config, dataset_name, provenance)
 
 
 def finetune(task: str, train_data, dev_data, init: WeightStore,
@@ -401,6 +402,7 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
         if scheme is None:
             raise ConfigError("ner fine-tuning needs a TagScheme")
         out_dim = len(scheme)
+        weights.metadata["entity_types"] = " ".join(scheme.entity_types)
     elif task == "re":
         if labels is None:
             raise ConfigError("re fine-tuning needs a RelationLabelSet")
@@ -424,15 +426,6 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
                      label_ids[ex.label]) for ex in dataset]
         return _prepare_qa_training(dataset, vocab, config)
 
-    def evaluate(w) -> EvalReport:
-        if task == "ner":
-            return evaluate_ner(w, dev_data, vocab, scheme, config.max_len,
-                                provenance=provenance)
-        if task == "re":
-            return evaluate_re(w, dev_data, vocab, labels, config.max_len,
-                               provenance=provenance)
-        return evaluate_qa(w, dev_data, vocab, config, provenance=provenance)
-
     log: list[dict] = []
     phases = []
     if task == "qa" and intermediate:
@@ -446,7 +439,8 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
     total_steps = max(1, config.epochs * sum(steps_per_epoch.values()))
 
     best_weights = weights.clone()
-    best_report = evaluate(weights)
+    best_report = evaluate(task, weights, dev_data, vocab, config, scheme=scheme,
+                           labels=labels, provenance=provenance)
     best_metric = best_report.primary_metric()
     log.append({"phase": "init", "epoch": 0, "dev_metric": best_metric})
 
@@ -469,7 +463,8 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
                 opt.step(weights.tensors, grads, lr)
                 epoch_loss += loss
                 n_batches += 1
-            report = evaluate(weights)
+            report = evaluate(task, weights, dev_data, vocab, config, scheme=scheme,
+                              labels=labels, provenance=provenance)
             metric = report.primary_metric()
             record = {"phase": phase_name, "epoch": epoch,
                       "train_loss": round(epoch_loss / max(n_batches, 1), 6),

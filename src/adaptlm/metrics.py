@@ -1,6 +1,7 @@
 """Evaluation metrics: entity-level P/R/F1, classification P/R/F1, and the
 ranked-answer triple (strict accuracy, lenient accuracy, MRR), with
-micro-averaging across datasets by pooling raw counts.
+micro-averaging across datasets by pooling raw counts. score() is the one
+scorer of each task, for model predictions and prediction files alike.
 
 Conventions, documented because scorers differ: 0/0 precision or recall is 0,
 except when gold and predictions are empty everywhere, which scores 1.0
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import string
 from dataclasses import dataclass, field
 
@@ -114,49 +114,35 @@ def normalize_answer(s: str) -> str:
     return collapsed.strip(string.punctuation + " ")
 
 
-def answer_ranks(ranked_answers: list[list[str]], gold_answers: list[list[str]],
-                 n_best: int = N_BEST_DEFAULT) -> list[float]:
-    """1-based rank of the first correct answer per question, inf if absent.
-
-    Answers match when normalize_answer maps them to the same string. Only the
-    first n_best ranked answers are considered.
-    """
-    if len(ranked_answers) != len(gold_answers):
-        raise InputError("ranked and gold lists differ in length")
-    ranks = []
-    for answers, golds in zip(ranked_answers, gold_answers):
-        normalized_golds = {normalize_answer(g) for g in golds}
-        rank = math.inf
-        for i, answer in enumerate(answers[:n_best], start=1):
-            if normalize_answer(answer) in normalized_golds:
-                rank = i
-                break
-        ranks.append(rank)
-    return ranks
-
-
 def qa_metrics(ranked_answers: list[list[str]], gold_answers: list[list[str]],
                n_best: int = N_BEST_DEFAULT):
     """(strict, lenient, MRR) plus per-rank tallies.
 
-    strict = fraction answered at rank 1, lenient = within the first n_best,
-    MRR = mean of 1/rank with 0 for unanswered. An empty ranked list scores
+    A question's rank is that of its first answer, among the first n_best,
+    that normalize_answer maps to the same string as a gold answer. strict =
+    fraction answered at rank 1, lenient = within the first n_best, MRR =
+    mean of 1/rank with 0 for unanswered. An empty ranked list scores
     (0, 0, 0) for that question.
     """
-    ranks = answer_ranks(ranked_answers, gold_answers, n_best)
-    n = len(ranks)
+    if len(ranked_answers) != len(gold_answers):
+        raise InputError("ranked and gold lists differ in length")
+    n = len(gold_answers)
     if n == 0:
         raise InputError("no questions to score")
     tallies = {"questions": n, "by_rank": [0] * n_best, "unanswered": 0}
-    for r in ranks:
-        if math.isinf(r):
-            tallies["unanswered"] += 1
+    reciprocal_ranks = []
+    for answers, golds in zip(ranked_answers, gold_answers):
+        normalized_golds = {normalize_answer(g) for g in golds}
+        for rank, answer in enumerate(answers[:n_best], start=1):
+            if normalize_answer(answer) in normalized_golds:
+                tallies["by_rank"][rank - 1] += 1
+                reciprocal_ranks.append(1.0 / rank)
+                break
         else:
-            tallies["by_rank"][int(r) - 1] += 1
-    strict = tallies["by_rank"][0] / n
-    lenient = sum(tallies["by_rank"]) / n
-    mrr = sum(0.0 if math.isinf(r) else 1.0 / r for r in ranks) / n
-    return strict, lenient, mrr, tallies
+            tallies["unanswered"] += 1
+            reciprocal_ranks.append(0.0)
+    by_rank = tallies["by_rank"]
+    return by_rank[0] / n, sum(by_rank) / n, sum(reciprocal_ranks) / n, tallies
 
 
 def pool_qa_tallies(tally_sets: list[dict]) -> tuple[float, float, float]:
@@ -176,6 +162,11 @@ def pool_qa_tallies(tally_sets: list[dict]) -> tuple[float, float, float]:
 # reports
 # ---------------------------------------------------------------------------
 
+# each task's metric names (the last selects on dev) and its pooling of counts
+_PRF = (("precision", "recall", "f1"), micro_average)
+METRICS = {"ner": _PRF, "re": _PRF, "qa": (("strict", "lenient", "mrr"), pool_qa_tallies)}
+
+
 @dataclass
 class EvalReport:
     """Per-dataset metric triples with raw counts and micro aggregates."""
@@ -192,17 +183,13 @@ class EvalReport:
     def micro(self) -> dict:
         if not self.datasets:
             return {}
-        counts = [d["counts"] for d in self.datasets]
-        if self.task == "qa":
-            s, l, m = pool_qa_tallies(counts)
-            return {"strict": s, "lenient": l, "mrr": m}
-        p, r, f1 = micro_average(counts)
-        return {"precision": p, "recall": r, "f1": f1}
+        names, pool = METRICS[self.task]
+        return dict(zip(names, pool([d["counts"] for d in self.datasets])))
 
     def primary_metric(self) -> float:
         """Dev-selection scalar: micro F1 for NER/RE, MRR for QA."""
-        micro = self.micro
-        return micro["mrr"] if self.task == "qa" else micro["f1"]
+        names, _ = METRICS[self.task]
+        return self.micro[names[-1]]
 
     def to_json(self) -> str:
         doc = {
@@ -216,13 +203,10 @@ class EvalReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def to_table(self) -> str:
-        """Aligned text table, one dataset per row plus the micro row."""
-        if self.task == "qa":
-            headers = ["dataset", "S", "L", "M"]
-            keys = ["strict", "lenient", "mrr"]
-        else:
-            headers = ["dataset", "P", "R", "F"]
-            keys = ["precision", "recall", "f1"]
+        """Aligned text table, one dataset per row plus the micro row; each
+        metric column is headed by its initial (P/R/F or S/L/M)."""
+        keys, _ = METRICS[self.task]
+        headers = ["dataset"] + [k[0].upper() for k in keys]
         rows = [[d["name"]] + [f"{d['metrics'][k] * 100:.2f}" for k in keys]
                 for d in self.datasets]
         if self.datasets:
@@ -233,6 +217,26 @@ class EvalReport:
         for row in rows:
             lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
         return "\n".join(lines)
+
+
+def score(task: str, gold: list, pred: list, dataset_name: str = "eval",
+          provenance: str = "unspecified", *, positive=frozenset(),
+          n_best: int = N_BEST_DEFAULT) -> EvalReport:
+    """The one-dataset report scoring pred against gold, both task-native and
+    parallel: BIOES tag sequences for "ner" (entity P/R/F1), labels for "re"
+    (P/R/F1 over the `positive` labels), and for "qa" gold answer strings
+    against ranked answer lists (strict, lenient and MRR at `n_best`)."""
+    if task == "ner":
+        *values, counts = entity_prf([spans_from_tags(tags) for tags in gold],
+                                     [spans_from_tags(tags) for tags in pred])
+    elif task == "re":
+        *values, counts = classification_prf(gold, pred, positive)
+    else:
+        *values, counts = qa_metrics(pred, gold, n_best=n_best)
+    names, _ = METRICS[task]
+    report = EvalReport(task=task, provenance=provenance)
+    report.add_dataset(dataset_name, dict(zip(names, values)), counts)
+    return report
 
 
 def config_fingerprint(payload: str) -> str:

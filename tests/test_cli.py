@@ -1,16 +1,21 @@
 import json
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adaptlm.checkpoint import load_checkpoint_file, save_checkpoint_file
 from adaptlm.cli import main
 from adaptlm.config import SECTIONS
 from adaptlm.data import atomic_write, parse_qa_json
 
-MINI_VOCAB = str(Path("src/adaptlm/assets/vocab_cased_mini.txt").resolve())
+SRC = Path(__file__).resolve().parents[1] / "src"
+MINI_VOCAB = str(SRC / "adaptlm" / "assets" / "vocab_cased_mini.txt")
 
 
 def run(*argv):
@@ -114,6 +119,30 @@ def test_pretrain_writes_checkpoints_and_log(tmp_path, fixture_dir):
     assert set(json.loads(lines[0])) == {"step", "loss", "accuracy", "wall_ms"}
 
 
+def test_killed_pretrain_keeps_the_step_log_up_to_its_newest_checkpoint(tmp_path, fixture_dir):
+    cfg = _write_config(tmp_path, fixture_dir)
+    pre = tmp_path / "run" / "pretrain"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adaptlm", "pretrain", "--config", str(cfg),
+         "--out", str(tmp_path / "run"), "--set", "pretrain.steps=100000",
+         "--set", "pretrain.checkpoint_interval=1"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 120
+        while not (pre / "step_000002.ckpt").exists():
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "no second checkpoint within 120 s"
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stderr.close()
+    newest = max(int(p.stem[len("step_"):]) for p in pre.glob("step_*.ckpt"))
+    steps = [json.loads(line)["step"] for line in (pre / "metrics.jsonl").read_text().splitlines()]
+    assert steps[:newest] == list(range(1, newest + 1))
+
+
 def test_pretrain_idempotent_checkpoint_bytes(tmp_path, fixture_dir):
     cfg = _write_config(tmp_path, fixture_dir)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -176,6 +205,30 @@ def test_finetune_and_model_evaluate(tmp_path, fixture_dir):
     report = json.loads((out / "evaluate" / "report.json").read_text())
     assert report["task"] == "ner"
     assert 0.0 <= report["micro"]["f1"] <= 1.0
+
+
+def test_evaluate_decodes_with_the_checkpoint_tag_scheme(tmp_path, fixture_dir, capsys):
+    train = tmp_path / "train.conll"
+    train.write_text((fixture_dir / "ner_train.conll").read_text() + "x S-AAA\n\n")
+    cfg = _write_config(tmp_path, fixture_dir)
+    out = tmp_path / "run"
+    assert run("pretrain", "--config", str(cfg), "--out", str(out)) == 0
+    assert run("finetune", "--config", str(cfg), "--out", str(out),
+               "--set", f"finetune.init={out / 'pretrain' / 'final.ckpt'}",
+               "--set", f"finetune.train={train}") == 0
+    best = load_checkpoint_file(out / "finetune" / "best.ckpt")
+    assert best.metadata["entity_types"] == "AAA GENE"
+    # the test set holds GENE entities only
+    evaluate = ("evaluate", "--config", str(cfg), "--out", str(out), "--set", "evaluate.task=ner",
+                "--set", f"evaluate.data={fixture_dir}/ner_test.conll")
+    assert run(*evaluate, "--set", f"evaluate.checkpoint={out / 'finetune' / 'best.ckpt'}") == 0
+    # weights that do not record their scheme decode with the data's
+    del best.metadata["entity_types"]
+    save_checkpoint_file(best, tmp_path / "unrecorded.ckpt")
+    assert run(*evaluate, "--set", f"evaluate.checkpoint={tmp_path / 'unrecorded.ckpt'}") == 3
+    assert "the ner head emits 9 values where 5 are expected" in capsys.readouterr().err
+    assert run(*evaluate, "--set", f"evaluate.checkpoint={out / 'pretrain' / 'final.ckpt'}") == 3
+    assert "the checkpoint has no ner head" in capsys.readouterr().err
 
 
 def test_evaluate_gold_equals_pred_is_perfect(tmp_path, fixture_dir):
@@ -458,15 +511,52 @@ def test_evaluate_re_prediction_rows_pair_by_id(tmp_path, fixture_dir):
     assert report["micro"]["f1"] == 1.0
 
 
-@pytest.mark.parametrize("edit", ["dropped", "repeated"])
-def test_evaluate_re_prediction_id_mismatch_is_data_error(tmp_path, fixture_dir, capsys, edit):
-    gold = fixture_dir / "re_test.tsv"
+def _re_predictions(gold, edit):
+    """RE predictions with the first gold row dropped, or repeated."""
     header, first, *rows = gold.read_text().splitlines(keepends=True)
-    pred = tmp_path / "pred.tsv"
-    pred.write_text(header + "".join(rows) + (first + first if edit == "repeated" else ""))
-    assert run("evaluate", "--out", str(tmp_path / "run"), "--set", "evaluate.task=re",
+    text = header + "".join(rows) + (first + first if edit == "repeated" else "")
+    return text, first.split("\t")[0]
+
+
+def _qa_predictions(gold, edit):
+    """QA predictions with the first gold question dropped, or with an extra
+    id that matches no question."""
+    answers = {ex.id: list(ex.gold_answers) for ex in parse_qa_json(gold)}
+    first = next(iter(answers))
+    if edit == "dropped":
+        del answers[first]
+        return json.dumps(answers), first
+    answers["not_a_question"] = ["x"]
+    return json.dumps(answers), "not_a_question"
+
+
+_MISMATCHED = {"re": ("re_test.tsv", _re_predictions), "qa": ("qa_test.json", _qa_predictions)}
+
+
+@pytest.mark.parametrize("task, edit", [("re", "dropped"), ("re", "repeated"),
+                                        ("qa", "dropped"), ("qa", "unknown")])
+def test_evaluate_prediction_id_mismatch_is_data_error(tmp_path, fixture_dir, capsys, task, edit):
+    gold_name, predictions = _MISMATCHED[task]
+    gold = fixture_dir / gold_name
+    text, bad_id = predictions(gold, edit)
+    pred = tmp_path / "pred"
+    pred.write_text(text)
+    assert run("evaluate", "--out", str(tmp_path / "run"), "--set", f"evaluate.task={task}",
                "--set", f"evaluate.gold={gold}", "--set", f"evaluate.pred={pred}") == 3
-    assert repr(first.split("\t")[0]) in capsys.readouterr().err
+    assert repr(bad_id) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("corpus-stats", "--corpus", MINI_VOCAB, "--vocab", MINI_VOCAB),
+    ("fixtures", "--seed", "1"),
+], ids=["corpus-stats", "fixtures"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(*argv, "--out", str(blocker / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(blocker / "out") in err
 
 
 def test_unknown_conversion_rejected(tmp_path):

@@ -9,7 +9,7 @@ from adaptlm.errors import ConfigError, InputError, NoAnswerError, TransferError
 from adaptlm.heads import (FinetuneConfig, admissible_positions, align_labels,
                            anonymize_entities, encode_windows, extract_span,
                            filter_unanswerable, finetune, head_logits, ner_decode,
-                           predict_ner, predict_qa, predict_re, re_forward)
+                           predict_ner, predict_qa, predict_re)
 from adaptlm.metrics import normalize_answer, spans_from_tags
 from adaptlm.pretrain import IGNORE_LABEL, seed_stream
 from adaptlm.tags import TagScheme, is_valid_bioes
@@ -146,12 +146,12 @@ def test_re_forward_shapes_and_ties(tiny_weights, toy_vocab):
     weights.tensors["head.re.weight"][:] = 0.0
     weights.tensors["head.re.bias"][:] = 0.0
     pooled = np.ones((4, weights.config.hidden), dtype=np.float32)
-    logits = re_forward(pooled, weights, labels)
+    logits = head_logits(pooled, weights, "re", len(labels.labels))
     assert logits.shape == (4, 3)
     # zero head -> uniform logits -> first-wins tie break
     assert np.all(logits.argmax(axis=1) == 0)
     weights.tensors["head.re.bias"][2] = 9.0
-    assert np.all(re_forward(pooled, weights, labels).argmax(axis=1) == 2)
+    assert np.all(head_logits(pooled, weights, "re", 3).argmax(axis=1) == 2)
 
 
 # --- span extraction ---
@@ -496,13 +496,13 @@ def test_predict_qa_batches_windows_across_examples(ft_vocab, ft_init, monkeypat
 
     assert [h.shape[0] for h in batched] == [heads.EVAL_BATCH_SIZE,
                                             sum(counts) - heads.EVAL_BATCH_SIZE]
-    batched_rows = iter(head_logits(np.concatenate(batched), weights, "qa"))
+    batched_rows = iter(head_logits(np.concatenate(batched), weights, "qa", 2))
     expected = []
     for ex_windows in windows:
         candidates = []
         for window in ex_windows:
             alone = forward_arrays(weights, *batch_arrays([window])).hidden
-            logits = head_logits(alone, weights, "qa")[0]
+            logits = head_logits(alone, weights, "qa", 2)[0]
             np.testing.assert_allclose(next(batched_rows), logits, rtol=1e-5, atol=1e-5)
             _, ranked = extract_span(logits[:, 0], logits[:, 1], window,
                                      config.max_answer_subtokens, config.n_best)
