@@ -14,9 +14,8 @@ from .vocab import (CONTINUATION_PREFIX, SPECIAL_TOKENS, Vocabulary,
 from .tokenizer import (EncodedInput, NO_WORD, basic_tokenize, batch_arrays,
                         encode_pieces, encode_sequence, encode_windows,
                         first_subtokens, split_with_offsets, wordpiece_split)
-from .encoder import (EncoderConfig, EncoderOutput, WeightStore, backward_arrays,
-                      expected_shapes, forward_arrays, init_head, init_weights,
-                      train_step, truncated_normal)
+from .encoder import (EncoderConfig, WeightStore, backward_arrays, expected_shapes,
+                      forward_arrays, init_head, init_weights, train_step, truncated_normal)
 from .checkpoint import (load_checkpoint, load_checkpoint_file, save_checkpoint,
                          save_checkpoint_file)
 from .pretrain import (IGNORE_LABEL, MaskedBatch, MaskingPolicy, PretrainConfig,

@@ -200,6 +200,7 @@ def cmd_evaluate(args, cfg) -> int:
     else:
         vocab = _load_vocab(cfg)
         weights = load_checkpoint_file(section.path("checkpoint"))
+        weights.check_compatible(vocab, fcfg.max_len)
         data = _task_data(task, section, "data", labels)
         scheme = (trained_scheme(weights) or _tag_scheme_from([data])) if task == "ner" else None
         report = evaluate(task, weights, data, vocab, fcfg, scheme=scheme, labels=labels,

@@ -348,6 +348,8 @@ def bioasq_to_extractive(questions: list[dict], passages: dict[str, str]):
     examples = []
     dropped = 0
     for q in factoids:
+        if not isinstance(q.get("body", ""), str):
+            raise FormatError(f"question {q.get('id', 'q')!r} has a body that is not a string")
         golds = tuple(_gold_strings(q.get("exact_answer", [])))
         doc_ids = q.get("documents", [])
         for i, doc_id in enumerate(doc_ids):

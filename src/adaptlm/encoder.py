@@ -6,20 +6,21 @@ with the token-prediction projection tied to the token embedding matrix.
 All arithmetic follows the dtype of the weight tensors: float32 in production,
 float64 when a test harness upcasts a store for finite-difference checks.
 
-The backward pass is hand-derived and returns one gradient array per named
-tensor; correctness is pinned by finite-difference oracles in the test suite.
+Each block is a composition of private sublayer pairs (_affine, _dropout and
+_layernorm, each with its _backward), so every operation and its gradient is
+written once. The hand-derived backward is pinned by finite-difference
+oracles in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InputError, TransferError
+from .errors import ConfigError, ContractViolation, InputError, TransferError
 from .tokenizer import EncodedInput, batch_arrays
 
 MAX_POSITIONS_CEILING = 512
@@ -183,11 +184,6 @@ def init_head(config: EncoderConfig, task: str, out_dim: int, seed: int) -> dict
 # forward / backward
 # ---------------------------------------------------------------------------
 
-class EncoderOutput(NamedTuple):
-    hidden: np.ndarray  # (batch, length, hidden), last layer
-    pooled: np.ndarray  # (batch, hidden), position-0 vector
-
-
 def _split_heads(x, n_heads):
     b, l, h = x.shape
     return x.reshape(b, l, n_heads, h // n_heads).transpose(0, 2, 1, 3)
@@ -198,18 +194,56 @@ def _merge_heads(x):
     return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, l, nh * dh)
 
 
-def _dropout_mask(rng, shape, p, dtype):
-    return (rng.random(shape) >= p).astype(dtype) * (1.0 / (1.0 - p))
+def _affine(x, t, name):
+    return x @ t[name] + t[f"{name}.bias"]
+
+
+def _affine_backward(d_y, x, t, name, grads):
+    """Accumulate the weight and bias grads of _affine(x, t, name); return d(x)."""
+    grads[name] += x.reshape(-1, x.shape[-1]).T @ d_y.reshape(-1, d_y.shape[-1])
+    grads[f"{name}.bias"] += d_y.sum(axis=(0, 1))
+    return d_y @ t[name].T
+
+
+def _dropout(x, p, rng):
+    """Inverted dropout: (x * mask, mask), or (x, None) when p is 0."""
+    if p == 0.0:
+        return x, None
+    mask = (rng.random(x.shape) >= p).astype(x.dtype) * (1.0 / (1.0 - p))
+    return x * mask, mask
+
+
+def _dropout_backward(d_y, mask):
+    return d_y if mask is None else d_y * mask
+
+
+def _layernorm(x, t, name, eps):
+    """Layer norm over the last axis; returns (y, saved), saved holding the
+    (B·L, H) input rows with their mean and rstd."""
+    rows = x.reshape(-1, x.shape[-1])
+    y, mean, rstd = kernels.layernorm_forward(rows, t[f"{name}.scale"], t[f"{name}.shift"], eps)
+    return y.reshape(x.shape), (rows, mean, rstd)
+
+
+def _layernorm_backward(d_y, saved, t, name, grads):
+    """Accumulate the scale and shift grads of _layernorm; return d(x)."""
+    rows, mean, rstd = saved
+    d_x, d_scale, d_shift = kernels.layernorm_backward(
+        d_y.reshape(rows.shape), rows, t[f"{name}.scale"], mean, rstd)
+    grads[f"{name}.scale"] += d_scale
+    grads[f"{name}.shift"] += d_shift
+    return d_x.reshape(d_y.shape)
 
 
 def forward_arrays(weights: WeightStore, ids, segments, mask, *,
                    train: bool = False, rng: np.random.Generator | None = None,
                    return_cache: bool = False):
-    """Run the encoder over (B, L) int arrays. Returns EncoderOutput, plus the
-    backprop cache when return_cache is set.
+    """Run the encoder over (B, L) int arrays. Returns the (B, L, hidden)
+    last-layer states, or (states, backprop cache) when return_cache is set.
 
     train=True applies inverted dropout (embeddings, attention probabilities,
-    both sublayer outputs) using draws from rng.
+    both sublayer outputs) using draws from rng. Every mask row needs at
+    least one real position.
     """
     cfg = weights.config
     ids = np.asarray(ids, dtype=np.int64)
@@ -229,68 +263,39 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
         raise InputError("training-mode forward with dropout requires an rng")
 
     key_mask = np.asarray(mask, dtype=dtype)
+    if not (key_mask > 0).any(axis=1).all():
+        raise ContractViolation("a mask row has no real position, so its attention is undefined")
     scale = dtype.type(1.0 / math.sqrt(cfg.head_dim))
 
-    x = t["embeddings.token"][ids] + t["embeddings.position"][:l][None] + t["embeddings.segment"][segments]
-    emb_drop = None
-    if p_drop > 0.0:
-        emb_drop = _dropout_mask(rng, x.shape, p_drop, dtype)
-        x = x * emb_drop
-
-    cache = {"ids": ids, "segments": segments, "key_mask": key_mask,
-             "emb_drop": emb_drop, "layers": []}
-
+    x, emb_drop = _dropout(t["embeddings.token"][ids] + t["embeddings.position"][:l][None]
+                           + t["embeddings.segment"][segments], p_drop, rng)
+    layers = []
     for i in range(cfg.layers):
         p = f"layer.{i}"
-        lc = {"x_in": x}
-        q = x @ t[f"{p}.attention.query"] + t[f"{p}.attention.query.bias"]
-        k = x @ t[f"{p}.attention.key"] + t[f"{p}.attention.key.bias"]
-        v = x @ t[f"{p}.attention.value"] + t[f"{p}.attention.value.bias"]
-        qh = _split_heads(q, cfg.heads)
-        kh = _split_heads(k, cfg.heads)
-        vh = _split_heads(v, cfg.heads)
+        x_in = x
+        qh, kh, vh = (_split_heads(_affine(x, t, f"{p}.attention.{proj}"), cfg.heads)
+                      for proj in ("query", "key", "value"))
         scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
         probs = kernels.attention_softmax(scores, key_mask)
-        probs_used = probs
-        attn_drop = None
-        if p_drop > 0.0:
-            attn_drop = _dropout_mask(rng, probs.shape, p_drop, dtype)
-            probs_used = probs * attn_drop
+        probs_used, attn_drop = _dropout(probs, p_drop, rng)
         ctx = _merge_heads(probs_used @ vh)
-        attn = ctx @ t[f"{p}.attention.output"] + t[f"{p}.attention.output.bias"]
-        attn_out_drop = None
-        if p_drop > 0.0:
-            attn_out_drop = _dropout_mask(rng, attn.shape, p_drop, dtype)
-            attn = attn * attn_out_drop
-        res1 = x + attn
-        x1_flat, mean1, rstd1 = kernels.layernorm_forward(
-            res1.reshape(b * l, cfg.hidden),
-            t[f"{p}.attention.norm.scale"], t[f"{p}.attention.norm.shift"],
-            cfg.layernorm_epsilon)
-        x1 = x1_flat.reshape(b, l, cfg.hidden)
+        attn, attn_out_drop = _dropout(_affine(ctx, t, f"{p}.attention.output"), p_drop, rng)
+        x1, norm1 = _layernorm(x + attn, t, f"{p}.attention.norm", cfg.layernorm_epsilon)
 
-        h1 = x1 @ t[f"{p}.ffn.intermediate"] + t[f"{p}.ffn.intermediate.bias"]
+        h1 = _affine(x1, t, f"{p}.ffn.intermediate")
         a = kernels.gelu_forward(h1)
-        h2 = a @ t[f"{p}.ffn.output"] + t[f"{p}.ffn.output.bias"]
-        ffn_drop = None
-        if p_drop > 0.0:
-            ffn_drop = _dropout_mask(rng, h2.shape, p_drop, dtype)
-            h2 = h2 * ffn_drop
-        res2 = x1 + h2
-        x2_flat, mean2, rstd2 = kernels.layernorm_forward(
-            res2.reshape(b * l, cfg.hidden),
-            t[f"{p}.ffn.norm.scale"], t[f"{p}.ffn.norm.shift"],
-            cfg.layernorm_epsilon)
-        x = x2_flat.reshape(b, l, cfg.hidden)
+        h2, ffn_drop = _dropout(_affine(a, t, f"{p}.ffn.output"), p_drop, rng)
+        x, norm2 = _layernorm(x1 + h2, t, f"{p}.ffn.norm", cfg.layernorm_epsilon)
 
-        lc.update(qh=qh, kh=kh, vh=vh, probs=probs, probs_used=probs_used,
-                  attn_drop=attn_drop, attn_out_drop=attn_out_drop, ctx=ctx,
-                  res1=res1, mean1=mean1, rstd1=rstd1, x1=x1, h1=h1, a=a,
-                  ffn_drop=ffn_drop, res2=res2, mean2=mean2, rstd2=rstd2)
-        cache["layers"].append(lc)
+        # kept until return even for inference: freed layer by layer, they
+        # leave heap holes that later calls miss, faulting in fresh pages
+        layers.append(dict(x_in=x_in, qh=qh, kh=kh, vh=vh, probs=probs,
+                           probs_used=probs_used, attn_drop=attn_drop, ctx=ctx,
+                           attn_out_drop=attn_out_drop, norm1=norm1, x1=x1, h1=h1,
+                           a=a, ffn_drop=ffn_drop, norm2=norm2))
 
-    out = EncoderOutput(hidden=x, pooled=x[:, 0].copy())
-    return (out, cache) if return_cache else out
+    cache = {"ids": ids, "segments": segments, "emb_drop": emb_drop, "layers": layers}
+    return (x, cache) if return_cache else x
 
 
 def zero_grads(weights: WeightStore) -> dict[str, np.ndarray]:
@@ -308,8 +313,7 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
     """
     cfg = weights.config
     t = weights.tensors
-    if grads is None:
-        grads = zero_grads(weights)
+    grads = zero_grads(weights) if grads is None else grads
 
     b, l, h = d_hidden.shape
     scale = weights.dtype.type(1.0 / math.sqrt(cfg.head_dim))
@@ -319,56 +323,28 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
         p = f"layer.{i}"
         lc = cache["layers"][i]
 
-        d_res2_flat, dg2, db2 = kernels.layernorm_backward(
-            d.reshape(b * l, h), lc["res2"].reshape(b * l, h),
-            t[f"{p}.ffn.norm.scale"], lc["mean2"], lc["rstd2"])
-        grads[f"{p}.ffn.norm.scale"] += dg2
-        grads[f"{p}.ffn.norm.shift"] += db2
-        d_res2 = d_res2_flat.reshape(b, l, h)
-
-        d_h2 = d_res2 if lc["ffn_drop"] is None else d_res2 * lc["ffn_drop"]
-        a2 = lc["a"].reshape(b * l, cfg.ff_dim)
-        grads[f"{p}.ffn.output"] += a2.T @ d_h2.reshape(b * l, h)
-        grads[f"{p}.ffn.output.bias"] += d_h2.sum(axis=(0, 1))
-        d_a = d_h2 @ t[f"{p}.ffn.output"].T
+        d_res2 = _layernorm_backward(d, lc["norm2"], t, f"{p}.ffn.norm", grads)
+        d_a = _affine_backward(_dropout_backward(d_res2, lc["ffn_drop"]), lc["a"], t,
+                               f"{p}.ffn.output", grads)
         d_h1 = kernels.gelu_backward(d_a, lc["h1"])
-        x1_2 = lc["x1"].reshape(b * l, h)
-        grads[f"{p}.ffn.intermediate"] += x1_2.T @ d_h1.reshape(b * l, cfg.ff_dim)
-        grads[f"{p}.ffn.intermediate.bias"] += d_h1.sum(axis=(0, 1))
-        d_x1 = d_res2 + d_h1 @ t[f"{p}.ffn.intermediate"].T
+        d_x1 = d_res2 + _affine_backward(d_h1, lc["x1"], t, f"{p}.ffn.intermediate", grads)
 
-        d_res1_flat, dg1, db1 = kernels.layernorm_backward(
-            d_x1.reshape(b * l, h), lc["res1"].reshape(b * l, h),
-            t[f"{p}.attention.norm.scale"], lc["mean1"], lc["rstd1"])
-        grads[f"{p}.attention.norm.scale"] += dg1
-        grads[f"{p}.attention.norm.shift"] += db1
-        d_res1 = d_res1_flat.reshape(b, l, h)
-
-        d_attn = d_res1 if lc["attn_out_drop"] is None else d_res1 * lc["attn_out_drop"]
-        ctx2 = lc["ctx"].reshape(b * l, h)
-        grads[f"{p}.attention.output"] += ctx2.T @ d_attn.reshape(b * l, h)
-        grads[f"{p}.attention.output.bias"] += d_attn.sum(axis=(0, 1))
-        d_ctx = _split_heads(d_attn @ t[f"{p}.attention.output"].T, cfg.heads)
-
-        d_probs_used = d_ctx @ lc["vh"].transpose(0, 1, 3, 2)
+        d_res1 = _layernorm_backward(d_x1, lc["norm1"], t, f"{p}.attention.norm", grads)
+        d_ctx = _split_heads(_affine_backward(_dropout_backward(d_res1, lc["attn_out_drop"]),
+                                              lc["ctx"], t, f"{p}.attention.output", grads),
+                             cfg.heads)
+        d_probs = _dropout_backward(d_ctx @ lc["vh"].transpose(0, 1, 3, 2), lc["attn_drop"])
         d_vh = lc["probs_used"].transpose(0, 1, 3, 2) @ d_ctx
-        d_probs = d_probs_used if lc["attn_drop"] is None else d_probs_used * lc["attn_drop"]
         d_scores = kernels.attention_softmax_backward(d_probs, lc["probs"]) * scale
         d_qh = d_scores @ lc["kh"]
         d_kh = d_scores.transpose(0, 1, 3, 2) @ lc["qh"]
 
-        x_in = lc["x_in"]
-        x_in2 = x_in.reshape(b * l, h)
-        d_x = d_res1.copy()
+        d = d_res1
         for proj, d_ph in (("query", d_qh), ("key", d_kh), ("value", d_vh)):
-            d_p = _merge_heads(d_ph)
-            grads[f"{p}.attention.{proj}"] += x_in2.T @ d_p.reshape(b * l, h)
-            grads[f"{p}.attention.{proj}.bias"] += d_p.sum(axis=(0, 1))
-            d_x += d_p @ t[f"{p}.attention.{proj}"].T
-        d = d_x
+            d = d + _affine_backward(_merge_heads(d_ph), lc["x_in"], t,
+                                     f"{p}.attention.{proj}", grads)
 
-    if cache["emb_drop"] is not None:
-        d = d * cache["emb_drop"]
+    d = _dropout_backward(d, cache["emb_drop"])
     d2 = d.reshape(b * l, h)
     kernels.embedding_grad(cache["ids"].reshape(-1), d2, grads["embeddings.token"])
     grads["embeddings.position"][:l] += d.sum(axis=0)
@@ -413,9 +389,9 @@ def train_step(weights: WeightStore, inputs: list[EncodedInput], head, *,
     tensor plus those the head named, so other tasks' head tensors get no
     gradient and no update.
     """
-    out, cache = forward_arrays(weights, *batch_arrays(inputs),
-                                train=train, rng=rng, return_cache=True)
-    loss, d_hidden, head_grads = head(out.hidden)
+    hidden, cache = forward_arrays(weights, *batch_arrays(inputs),
+                                   train=train, rng=rng, return_cache=True)
+    loss, d_hidden, head_grads = head(hidden)
     grads = zero_grads(weights)
     for name, grad in head_grads.items():
         grads.setdefault(name, np.zeros_like(grad))

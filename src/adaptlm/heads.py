@@ -284,8 +284,10 @@ def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head):
     """head(hidden) row by row for every encoding, in order, computed by
     inference forwards of at most EVAL_BATCH_SIZE rows each."""
     for lo in range(0, len(encodings), EVAL_BATCH_SIZE):
-        out = forward_arrays(weights, *batch_arrays(encodings[lo:lo + EVAL_BATCH_SIZE]))
-        yield from head(out.hidden)
+        # held through the next forward, so that forward reuses this one's
+        # freed heap blocks instead of faulting in fresh pages
+        hidden = forward_arrays(weights, *batch_arrays(encodings[lo:lo + EVAL_BATCH_SIZE]))
+        yield from head(hidden)
 
 
 def predict_ner(weights: WeightStore, sentences: list[LabeledSentence],

@@ -65,7 +65,7 @@ def attention_softmax(scores, key_mask):
     """Row softmax of (batch, heads, q, k) scores; masked keys get exact weight 0.
 
     key_mask is (batch, k) with 1.0 for real positions. Rows must have at
-    least one unmasked key; callers enforce that.
+    least one unmasked key; encoder.forward_arrays enforces that.
     """
     neg = np.array(-1e9, dtype=scores.dtype)
     bias = np.where(key_mask[:, None, None, :] > 0, scores.dtype.type(0), neg)

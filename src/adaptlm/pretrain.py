@@ -135,9 +135,9 @@ def mlm_loss(masked: MaskedBatch, weights: WeightStore):
     """
     if masked.mask_positions.shape[0] == 0:
         return 0.0, np.zeros((0, weights.config.vocab_size), dtype=weights.dtype)
-    out = forward_arrays(weights, *batch_arrays(masked.inputs))
+    hidden = forward_arrays(weights, *batch_arrays(masked.inputs))
     rows, cols = masked.mask_positions[:, 0], masked.mask_positions[:, 1]
-    logits = mlm_logits(out.hidden[rows, cols], weights)
+    logits = mlm_logits(hidden[rows, cols], weights)
     targets = masked.labels[rows, cols]
     losses, _ = kernels.softmax_xent(logits, targets)
     return float(losses.mean()), logits

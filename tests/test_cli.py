@@ -184,7 +184,7 @@ def test_env_output_root_honored(tmp_path, fixture_dir, monkeypatch):
     assert (root / "pretrain" / "final.ckpt").exists()
 
 
-def test_finetune_and_model_evaluate(tmp_path, fixture_dir):
+def test_finetune_and_model_evaluate(tmp_path, fixture_dir, capsys):
     cfg = _write_config(tmp_path, fixture_dir)
     out = tmp_path / "run"
     assert run("pretrain", "--config", str(cfg), "--out", str(out)) == 0
@@ -205,6 +205,20 @@ def test_finetune_and_model_evaluate(tmp_path, fixture_dir):
     report = json.loads((out / "evaluate" / "report.json").read_text())
     assert report["task"] == "ner"
     assert 0.0 <= report["micro"]["f1"] <= 1.0
+
+    # the checkpoint must fit the run, as for finetune: the same vocabulary
+    # (here the fixture's, reversed after its five special tokens) and a
+    # max_len within max_positions
+    tokens = (fixture_dir / "vocab.txt").read_text().splitlines()
+    reversed_vocab = tmp_path / "reversed_vocab.txt"
+    reversed_vocab.write_text("\n".join(tokens[:5] + tokens[5:][::-1]) + "\n")
+    evaluate = ("evaluate", "--config", str(cfg), "--out", str(out), "--set", "evaluate.task=ner",
+                "--set", f"evaluate.checkpoint={fin / 'best.ckpt'}",
+                "--set", f"evaluate.data={fixture_dir}/ner_test.conll")
+    assert run(*evaluate, "--set", f"global.vocab={reversed_vocab}") == 4
+    assert "different vocabulary" in capsys.readouterr().err
+    assert run(*evaluate, "--set", "finetune.max_len=25") == 2
+    assert "exceeds encoder max_positions 24" in capsys.readouterr().err
 
 
 def test_evaluate_decodes_with_the_checkpoint_tag_scheme(tmp_path, fixture_dir, capsys):

@@ -152,10 +152,7 @@ def test_forward_attention_matches_reference_per_row_and_head(toy_vocab):
 def test_forward_output_shapes(tiny_weights, toy_vocab):
     batch = [encode_sequence("a b c", None, toy_vocab, 10),
              encode_sequence("d e", None, toy_vocab, 10)]
-    out = forward_arrays(tiny_weights, *batch_arrays(batch))
-    assert out.hidden.shape == (2, 10, 8)
-    assert out.pooled.shape == (2, 8)
-    np.testing.assert_allclose(out.pooled, out.hidden[:, 0])
+    assert forward_arrays(tiny_weights, *batch_arrays(batch)).shape == (2, 10, 8)
 
 
 def test_forward_padding_does_not_leak(tiny_weights, toy_vocab):
@@ -163,7 +160,7 @@ def test_forward_padding_does_not_leak(tiny_weights, toy_vocab):
     long = encode_sequence("a b c", None, toy_vocab, 12)
     out_short = forward_arrays(tiny_weights, *batch_arrays([short]))
     out_long = forward_arrays(tiny_weights, *batch_arrays([long]))
-    np.testing.assert_allclose(out_short.hidden[0, :5], out_long.hidden[0, :5],
+    np.testing.assert_allclose(out_short[0, :5], out_long[0, :5],
                                atol=1e-5)
 
 
@@ -174,12 +171,17 @@ def test_forward_rejects_bad_inputs(tiny_weights):
     ids = np.full((1, 4), 999)
     with pytest.raises(InputError):
         forward_arrays(tiny_weights, ids, np.zeros_like(ids), np.ones_like(ids))
+    ids = np.full((2, 4), 5)
+    mask = np.ones_like(ids)
+    mask[1] = 0  # a row with no real position has no attention softmax
+    with pytest.raises(ContractViolation):
+        forward_arrays(tiny_weights, ids, np.zeros_like(ids), mask)
 
 
 def test_forward_deterministic(tiny_weights, toy_vocab):
     batch = [encode_sequence("a b c d", None, toy_vocab, 8)]
-    h1 = forward_arrays(tiny_weights, *batch_arrays(batch)).hidden
-    h2 = forward_arrays(tiny_weights, *batch_arrays(batch)).hidden
+    h1 = forward_arrays(tiny_weights, *batch_arrays(batch))
+    h2 = forward_arrays(tiny_weights, *batch_arrays(batch))
     assert np.array_equal(h1, h2)
 
 
@@ -192,8 +194,8 @@ def test_forward_permutation_equivariance(tiny_config, rng):
     segments = np.zeros((b, l), dtype=np.int64)
     mask = np.ones((b, l), dtype=np.int64)
     perm = rng.permutation(l)
-    out = forward_arrays(store, ids, segments, mask).hidden
-    out_perm = forward_arrays(store, ids[:, perm], segments, mask).hidden
+    out = forward_arrays(store, ids, segments, mask)
+    out_perm = forward_arrays(store, ids[:, perm], segments, mask)
     np.testing.assert_allclose(out[:, perm], out_perm, atol=1e-5)
 
 
@@ -203,17 +205,20 @@ def test_dropout_requires_rng_and_is_seeded(tiny_config, toy_vocab):
     arrays = batch_arrays([encode_sequence("a b c d", None, toy_vocab, 8)])
     with pytest.raises(InputError):
         forward_arrays(store, *arrays, train=True)
-    h1 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(3)).hidden
-    h2 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(3)).hidden
-    h3 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(4)).hidden
+    h1 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(3))
+    h2 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(3))
+    h3 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(4))
     assert np.array_equal(h1, h2)
     assert not np.array_equal(h1, h3)
 
 
-def test_gradients_match_finite_differences_quick(toy_vocab):
-    """Fast gradcheck on one layer; the full sweep runs in the acceptance suite."""
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_gradients_match_finite_differences_quick(toy_vocab, dropout):
+    """Fast gradcheck on one layer; the full sweep runs in the acceptance suite.
+    With dropout on, every forward re-seeds its rng, so all calls draw the
+    same masks and the backward's mask multiplies are checked too."""
     cfg = EncoderConfig(vocab_size=len(toy_vocab), hidden=6, layers=1, heads=2,
-                        ff_dim=10, max_positions=8, dropout=0.0, init_std=0.5, seed=2)
+                        ff_dim=10, max_positions=8, dropout=dropout, init_std=0.5, seed=2)
     store = init_weights(cfg).astype(np.float64)
     rng = np.random.default_rng(1)
     ids = rng.integers(0, cfg.vocab_size, (2, 5))
@@ -223,10 +228,14 @@ def test_gradients_match_finite_differences_quick(toy_vocab):
     proj = rng.standard_normal((2, 5, 6))
     proj[mask == 0] = 0.0
 
-    def loss(w):
-        return float((forward_arrays(w, ids, segments, mask).hidden * proj).sum())
+    def forward(w, **kwargs):
+        return forward_arrays(w, ids, segments, mask, train=True,
+                              rng=np.random.default_rng(5), **kwargs)
 
-    out, cache = forward_arrays(store, ids, segments, mask, return_cache=True)
+    def loss(w):
+        return float((forward(w) * proj).sum())
+
+    _, cache = forward(store, return_cache=True)
     grads = backward_arrays(store, cache, proj)
     h = 1e-4
     for name in ("layer.0.attention.value", "layer.0.ffn.intermediate",

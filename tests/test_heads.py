@@ -441,7 +441,7 @@ def test_train_step_head_gradients_match_finite_differences(ft_vocab, task):
     arrays = batch_arrays(encodings)
 
     def loss():
-        return head(forward_arrays(weights, *arrays).hidden)[0]
+        return head(forward_arrays(weights, *arrays))[0]
 
     step = 1e-3
     for name, analytic in grads.items():
@@ -486,9 +486,9 @@ def test_predict_qa_batches_windows_across_examples(ft_vocab, ft_init, monkeypat
     batched = []
 
     def recording_forward(*args, **kwargs):
-        out = forward_arrays(*args, **kwargs)
-        batched.append(out.hidden)
-        return out
+        hidden = forward_arrays(*args, **kwargs)
+        batched.append(hidden)
+        return hidden
 
     monkeypatch.setattr(heads, "forward_arrays", recording_forward)
     predicted = predict_qa(weights, examples, ft_vocab, config)
@@ -501,7 +501,7 @@ def test_predict_qa_batches_windows_across_examples(ft_vocab, ft_init, monkeypat
     for ex_windows in windows:
         candidates = []
         for window in ex_windows:
-            alone = forward_arrays(weights, *batch_arrays([window])).hidden
+            alone = forward_arrays(weights, *batch_arrays([window]))
             logits = head_logits(alone, weights, "qa", 2)[0]
             np.testing.assert_allclose(next(batched_rows), logits, rtol=1e-5, atol=1e-5)
             _, ranked = extract_span(logits[:, 0], logits[:, 1], window,

@@ -112,6 +112,8 @@ _passages = _shaped({"p1": st.just("a b c"), "p2": st.just("zz top")})
 @example('{"questions": [{"type": "factoid", "documents": ["p1"], "exact_answer": 3}]}',
          {"p1": "a"})
 @example('{"questions": [{"type": "factoid", "documents": ["p1"]}]}', ["p1"])
+@example('{"questions": [{"type": "factoid", "documents": ["p1"], "exact_answer": "a", '
+         '"body": null}]}', {"p1": "a"})
 @FUZZ
 def test_bioasq_reader_raises_only_toolkit_errors(text, passages):
     try:
