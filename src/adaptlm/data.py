@@ -251,9 +251,18 @@ def parse_qa_json(source) -> list[QAExample]:
                     examples.append(QAExample(
                         id=str(qa["id"]), question=_typed(qa["question"], str), passage=passage,
                         answers=answers))
-        return examples
     except (KeyError, TypeError) as e:
         raise FormatError(f"malformed QA JSON: {e!r}") from None
+    _check_unique_ids(ex.id for ex in examples)
+    return examples
+
+
+def _check_unique_ids(ids) -> None:
+    seen = set()
+    for id_ in ids:
+        if id_ in seen:
+            raise FormatError(f"question id {id_!r} is repeated")
+        seen.add(id_)
 
 
 def _typed(value, kind: type):
@@ -332,9 +341,11 @@ def _gold_strings(exact_answer) -> list[str]:
 def bioasq_to_extractive(questions: list[dict], passages: dict[str, str]):
     """Convert factoid questions to extractive QAExamples.
 
-    For each (question, referenced passage) pair, every normalized occurrence
-    of every gold answer becomes a located span; pairs with no occurrence are
-    dropped and counted. Returns (examples, dropped_count, skipped_non_factoid).
+    Every factoid question needs an id of its own, and the example of its
+    i-th passage is named <id>_<i>. For each (question, referenced passage)
+    pair, every normalized occurrence of every gold answer becomes a located
+    span; pairs with no occurrence are dropped and counted. Returns
+    (examples, dropped_count, skipped_non_factoid).
     """
     if not (isinstance(passages, dict) and all(isinstance(p, str) for p in passages.values())):
         raise FormatError("passages must be a JSON object mapping ids to passage text")
@@ -345,11 +356,16 @@ def bioasq_to_extractive(questions: list[dict], passages: dict[str, str]):
     if missing:
         raise FormatError(f"questions reference unknown passage ids: {missing}")
 
+    for n, q in enumerate(questions):
+        if q.get("type") == "factoid" and not (isinstance(q.get("id"), str) and q["id"]):
+            raise FormatError(f"factoid question {n} (from 0) has no id")
+    _check_unique_ids(q["id"] for q in factoids)
+
     examples = []
     dropped = 0
     for q in factoids:
         if not isinstance(q.get("body", ""), str):
-            raise FormatError(f"question {q.get('id', 'q')!r} has a body that is not a string")
+            raise FormatError(f"question {q['id']!r} has a body that is not a string")
         golds = tuple(_gold_strings(q.get("exact_answer", [])))
         doc_ids = q.get("documents", [])
         for i, doc_id in enumerate(doc_ids):
@@ -360,7 +376,7 @@ def bioasq_to_extractive(questions: list[dict], passages: dict[str, str]):
                     spans.append((passage[start:end], start))
             if spans:
                 examples.append(QAExample(
-                    id=f"{q.get('id', 'q')}_{i}", question=q.get("body", ""),
+                    id=f"{q['id']}_{i}", question=q.get("body", ""),
                     passage=passage, answers=tuple(spans), gold_answers=golds))
             else:
                 dropped += 1

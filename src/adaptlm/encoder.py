@@ -184,14 +184,16 @@ def init_head(config: EncoderConfig, task: str, out_dim: int, seed: int) -> dict
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _split_heads(x, n_heads):
-    b, l, h = x.shape
-    return x.reshape(b, l, n_heads, h // n_heads).transpose(0, 2, 1, 3)
+def _split_heads(x, b, n_heads):
+    """(B·L, H) rows -> (B, heads, L, H / heads)."""
+    rows, h = x.shape
+    return x.reshape(b, rows // b, n_heads, h // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x):
+    """(B, heads, L, head_dim) -> (B·L, H) rows."""
     b, nh, l, dh = x.shape
-    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, l, nh * dh)
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b * l, nh * dh)
 
 
 def _affine(x, t, name):
@@ -200,8 +202,8 @@ def _affine(x, t, name):
 
 def _affine_backward(d_y, x, t, name, grads):
     """Accumulate the weight and bias grads of _affine(x, t, name); return d(x)."""
-    grads[name] += x.reshape(-1, x.shape[-1]).T @ d_y.reshape(-1, d_y.shape[-1])
-    grads[f"{name}.bias"] += d_y.sum(axis=(0, 1))
+    grads[name] += x.T @ d_y
+    grads[f"{name}.bias"] += d_y.sum(axis=0)
     return d_y @ t[name].T
 
 
@@ -218,21 +220,20 @@ def _dropout_backward(d_y, mask):
 
 
 def _layernorm(x, t, name, eps):
-    """Layer norm over the last axis; returns (y, saved), saved holding the
-    (B·L, H) input rows with their mean and rstd."""
-    rows = x.reshape(-1, x.shape[-1])
-    y, mean, rstd = kernels.layernorm_forward(rows, t[f"{name}.scale"], t[f"{name}.shift"], eps)
-    return y.reshape(x.shape), (rows, mean, rstd)
+    """Layer norm of (B·L, H) rows; returns (y, saved), saved holding the
+    rows with their mean and rstd."""
+    y, mean, rstd = kernels.layernorm_forward(x, t[f"{name}.scale"], t[f"{name}.shift"], eps)
+    return y, (x, mean, rstd)
 
 
 def _layernorm_backward(d_y, saved, t, name, grads):
     """Accumulate the scale and shift grads of _layernorm; return d(x)."""
     rows, mean, rstd = saved
     d_x, d_scale, d_shift = kernels.layernorm_backward(
-        d_y.reshape(rows.shape), rows, t[f"{name}.scale"], mean, rstd)
+        d_y, rows, t[f"{name}.scale"], mean, rstd)
     grads[f"{name}.scale"] += d_scale
     grads[f"{name}.shift"] += d_shift
-    return d_x.reshape(d_y.shape)
+    return d_x
 
 
 def forward_arrays(weights: WeightStore, ids, segments, mask, *,
@@ -243,7 +244,9 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
 
     train=True applies inverted dropout (embeddings, attention probabilities,
     both sublayer outputs) using draws from rng. Every mask row needs at
-    least one real position.
+    least one real position. Between the embeddings and the output the
+    states are (B·L, hidden) rows, so each affine map is one matrix product;
+    only attention splits them by sequence and head.
     """
     cfg = weights.config
     ids = np.asarray(ids, dtype=np.int64)
@@ -267,13 +270,14 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
         raise ContractViolation("a mask row has no real position, so its attention is undefined")
     scale = dtype.type(1.0 / math.sqrt(cfg.head_dim))
 
-    x, emb_drop = _dropout(t["embeddings.token"][ids] + t["embeddings.position"][:l][None]
-                           + t["embeddings.segment"][segments], p_drop, rng)
+    x, emb_drop = _dropout((t["embeddings.token"][ids] + t["embeddings.position"][:l][None]
+                            + t["embeddings.segment"][segments]).reshape(b * l, cfg.hidden),
+                           p_drop, rng)
     layers = []
     for i in range(cfg.layers):
         p = f"layer.{i}"
         x_in = x
-        qh, kh, vh = (_split_heads(_affine(x, t, f"{p}.attention.{proj}"), cfg.heads)
+        qh, kh, vh = (_split_heads(_affine(x, t, f"{p}.attention.{proj}"), b, cfg.heads)
                       for proj in ("query", "key", "value"))
         scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
         probs = kernels.attention_softmax(scores, key_mask)
@@ -287,15 +291,16 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
         h2, ffn_drop = _dropout(_affine(a, t, f"{p}.ffn.output"), p_drop, rng)
         x, norm2 = _layernorm(x1 + h2, t, f"{p}.ffn.norm", cfg.layernorm_epsilon)
 
-        # kept until return even for inference: freed layer by layer, they
-        # leave heap holes that later calls miss, faulting in fresh pages
-        layers.append(dict(x_in=x_in, qh=qh, kh=kh, vh=vh, probs=probs,
-                           probs_used=probs_used, attn_drop=attn_drop, ctx=ctx,
-                           attn_out_drop=attn_out_drop, norm1=norm1, x1=x1, h1=h1,
-                           a=a, ffn_drop=ffn_drop, norm2=norm2))
+        if return_cache:
+            layers.append(dict(x_in=x_in, qh=qh, kh=kh, vh=vh, probs=probs,
+                               probs_used=probs_used, attn_drop=attn_drop, ctx=ctx,
+                               attn_out_drop=attn_out_drop, norm1=norm1, x1=x1, h1=h1,
+                               a=a, ffn_drop=ffn_drop, norm2=norm2))
 
-    cache = {"ids": ids, "segments": segments, "emb_drop": emb_drop, "layers": layers}
-    return (x, cache) if return_cache else x
+    hidden = x.reshape(b, l, cfg.hidden)
+    if not return_cache:
+        return hidden
+    return hidden, {"ids": ids, "segments": segments, "emb_drop": emb_drop, "layers": layers}
 
 
 def zero_grads(weights: WeightStore) -> dict[str, np.ndarray]:
@@ -317,7 +322,7 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
 
     b, l, h = d_hidden.shape
     scale = weights.dtype.type(1.0 / math.sqrt(cfg.head_dim))
-    d = d_hidden
+    d = d_hidden.reshape(b * l, h)
 
     for i in reversed(range(cfg.layers)):
         p = f"layer.{i}"
@@ -332,7 +337,7 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
         d_res1 = _layernorm_backward(d_x1, lc["norm1"], t, f"{p}.attention.norm", grads)
         d_ctx = _split_heads(_affine_backward(_dropout_backward(d_res1, lc["attn_out_drop"]),
                                               lc["ctx"], t, f"{p}.attention.output", grads),
-                             cfg.heads)
+                             b, cfg.heads)
         d_probs = _dropout_backward(d_ctx @ lc["vh"].transpose(0, 1, 3, 2), lc["attn_drop"])
         d_vh = lc["probs_used"].transpose(0, 1, 3, 2) @ d_ctx
         d_scores = kernels.attention_softmax_backward(d_probs, lc["probs"]) * scale
@@ -345,10 +350,9 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
                                      f"{p}.attention.{proj}", grads)
 
     d = _dropout_backward(d, cache["emb_drop"])
-    d2 = d.reshape(b * l, h)
-    kernels.embedding_grad(cache["ids"].reshape(-1), d2, grads["embeddings.token"])
-    grads["embeddings.position"][:l] += d.sum(axis=0)
-    kernels.embedding_grad(cache["segments"].reshape(-1), d2, grads["embeddings.segment"])
+    kernels.embedding_grad(cache["ids"].reshape(-1), d, grads["embeddings.token"])
+    grads["embeddings.position"][:l] += d.reshape(b, l, h).sum(axis=0)
+    kernels.embedding_grad(cache["segments"].reshape(-1), d, grads["embeddings.segment"])
     return grads
 
 
@@ -378,21 +382,22 @@ def affine_xent(hidden, labels, weight, bias):
     return loss, logits, d_hidden.reshape(b, l, h), rows.T @ d_logits, d_logits.sum(axis=0)
 
 
-def train_step(weights: WeightStore, inputs: list[EncodedInput], head, *,
+def train_step(weights: WeightStore, inputs: list[EncodedInput], head,
+               grads: dict[str, np.ndarray] | None = None, *,
                train: bool = True, rng: np.random.Generator | None = None):
     """Loss and gradients of one batch: forward, task head, backward.
 
     head(hidden) returns (loss, d_hidden, head_grads), where head_grads maps
     the tensors the head reads (its own head.<task>.* tensors, or core ones
-    such as the tied token embeddings) to their gradients. Returns
-    (loss, grads), loss as the head returned it: grads covers every core
-    tensor plus those the head named, so other tasks' head tensors get no
-    gradient and no update.
+    such as the tied token embeddings) to their gradients. The gradients
+    accumulate into grads, zero-filled by the caller (AdamW.zero_grads), or
+    into fresh arrays for every core tensor plus those the head names.
+    Returns (loss, grads), loss as the head returned it.
     """
     hidden, cache = forward_arrays(weights, *batch_arrays(inputs),
                                    train=train, rng=rng, return_cache=True)
     loss, d_hidden, head_grads = head(hidden)
-    grads = zero_grads(weights)
+    grads = zero_grads(weights) if grads is None else grads
     for name, grad in head_grads.items():
         grads.setdefault(name, np.zeros_like(grad))
         grads[name] += grad

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels
 from .data import LabeledSentence, QAExample, RelationExample, RelationLabelSet
 from .encoder import (HEAD_PREFIX, IGNORE_LABEL, WeightStore, affine_xent,
-                      forward_arrays, init_head, train_step)
+                      expected_shapes, forward_arrays, init_head, train_step)
 from .errors import ConfigError, InputError, NoAnswerError
 from .metrics import EvalReport, normalize_answer, score
 from .optimizer import AdamW, linear_schedule
@@ -284,10 +284,7 @@ def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head):
     """head(hidden) row by row for every encoding, in order, computed by
     inference forwards of at most EVAL_BATCH_SIZE rows each."""
     for lo in range(0, len(encodings), EVAL_BATCH_SIZE):
-        # held through the next forward, so that forward reuses this one's
-        # freed heap blocks instead of faulting in fresh pages
-        hidden = forward_arrays(weights, *batch_arrays(encodings[lo:lo + EVAL_BATCH_SIZE]))
-        yield from head(hidden)
+        yield from head(forward_arrays(weights, *batch_arrays(encodings[lo:lo + EVAL_BATCH_SIZE])))
 
 
 def predict_ner(weights: WeightStore, sentences: list[LabeledSentence],
@@ -411,7 +408,8 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
         out_dim = len(labels.labels)
     else:
         out_dim = 2
-    weights.tensors.update(init_head(weights.config, task, out_dim, head_seed))
+    head = init_head(weights.config, task, out_dim, head_seed)
+    weights.tensors.update(head)
 
     data_rng = seed_stream(config.seed, "finetune.data")
     dropout_rng = seed_stream(config.seed, "finetune.dropout")
@@ -434,7 +432,7 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
         phases.append(("intermediate", prepared(intermediate)))
     phases.append(("target", prepared(train_data)))
 
-    opt = AdamW(list(weights.tensors), weights.tensors,
+    opt = AdamW(weights, [*expected_shapes(weights.config), *head],
                 weight_decay=config.weight_decay)
     steps_per_epoch = {name: max(1, (len(items) + config.batch_size - 1) // config.batch_size)
                        for name, items in phases}
@@ -459,10 +457,11 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
                 lr = linear_schedule(step, total_steps, config.learning_rate,
                                      config.warmup_fraction)
                 encodings, targets = zip(*chunk)
-                loss, grads = train_step(weights, encodings,
-                                         _task_head(weights, task, encodings, targets),
-                                         rng=dropout_rng)
-                opt.step(weights.tensors, grads, lr)
+                loss, _ = train_step(weights, encodings,
+                                     _task_head(weights, task, encodings, targets),
+                                     opt.zero_grads(), rng=dropout_rng)
+                opt.checked_grad_norm(step, loss)
+                opt.step(lr)
                 epoch_loss += loss
                 n_batches += 1
             report = evaluate(task, weights, dev_data, vocab, config, scheme=scheme,

@@ -6,9 +6,12 @@ decay, the usual transformer convention.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
+from .errors import ContractViolation
 
 
 def linear_schedule(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -> float:
@@ -35,21 +38,62 @@ EPSILON = 1e-6
 
 
 class AdamW:
-    """Holds first/second moments per named tensor; updates in place."""
+    """AdamW over one contiguous arena of the tensors it trains.
 
-    def __init__(self, names, shapes_like, *, weight_decay=0.01):
-        self.weight_decay = weight_decay
+    Construction copies the named tensors of a WeightStore, in sorted-name
+    order, into one flat array of the store's dtype and rebinds each
+    weights.tensors[name] to its view; names, shapes and values do not
+    change. The grads, both moments and the per-element weight-decay rates
+    share that layout, so zeroing the grads is one fill and a step is one
+    kernel call. Tensors left out (another task's head) get no update.
+    """
+
+    def __init__(self, weights, names, *, weight_decay=0.01):
+        t = weights.tensors
+        self.params = np.empty(sum(t[n].size for n in names), dtype=weights.dtype)
+        self.grad = np.zeros_like(self.params)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self.decay = np.empty_like(self.params)
+        self.grads: dict[str, np.ndarray] = {}
+        span = slice(0, 0)
+        for name in sorted(names):
+            span = slice(span.stop, span.stop + t[name].size)
+            self.params[span] = t[name].reshape(-1)
+            t[name] = self.params[span].reshape(t[name].shape)
+            self.grads[name] = self.grad[span].reshape(t[name].shape)
+            self.decay[span] = 0.0 if _decay_exempt(name) else weight_decay
         self.step_count = 0
-        self.m = {n: np.zeros_like(shapes_like[n]) for n in names}
-        self.v = {n: np.zeros_like(shapes_like[n]) for n in names}
 
-    def step(self, tensors, grads, lr: float) -> None:
+    def zero_grads(self) -> dict[str, np.ndarray]:
+        """The grad views, zero-filled, for train_step to accumulate into."""
+        self.grad.fill(0)
+        return self.grads
+
+    def checked_grad_norm(self, step: int, loss: float) -> float:
+        """The global L2 norm of the grads, after checking that the step's loss
+        and every gradient are finite; ContractViolation names the step and
+        the first non-finite tensor.
+
+        The norm is one float32 reduction over the arena. That can overflow
+        while every gradient is finite, so a non-finite result is redone in
+        float64, which cannot overflow, before the tensors are scanned.
+        """
+        if not math.isfinite(loss):
+            raise ContractViolation(f"step {step}: the loss is {loss}")
+        with np.errstate(over="ignore"):
+            norm = float(np.sqrt(np.dot(self.grad, self.grad)))
+        if not math.isfinite(norm):
+            norm = float(np.linalg.norm(self.grad.astype(np.float64)))
+        if not math.isfinite(norm):
+            name = next(n for n, g in self.grads.items() if not np.isfinite(g).all())
+            raise ContractViolation(f"step {step}: the gradient of {name} is not finite")
+        return norm
+
+    def step(self, lr: float) -> None:
+        """One update from the grads train_step accumulated."""
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        for name in sorted(grads):
-            wd = 0.0 if _decay_exempt(name) else self.weight_decay
-            kernels.adamw_update(
-                tensors[name].reshape(-1), grads[name].reshape(-1),
-                self.m[name].reshape(-1), self.v[name].reshape(-1),
-                lr, BETA1, BETA2, EPSILON, wd, bc1, bc2)
+        kernels.adamw_update(self.params, self.grad, self.m, self.v,
+                             lr, BETA1, BETA2, EPSILON, self.decay, bc1, bc2)

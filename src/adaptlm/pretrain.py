@@ -144,12 +144,13 @@ def mlm_loss(masked: MaskedBatch, weights: WeightStore):
 
 
 def mlm_step_grads(masked: MaskedBatch, weights: WeightStore, *,
-                   train: bool = False, rng: np.random.Generator | None = None):
+                   train: bool = False, rng: np.random.Generator | None = None,
+                   grads: dict[str, np.ndarray] | None = None):
     """Forward + backward for one masked batch.
 
     Returns (loss, accuracy, grads). Gradients cover every core tensor,
     including the tied token-embedding contribution from the output
-    projection.
+    projection; they accumulate into grads when given (see train_step).
     """
     tensors = weights.tensors
     targets = masked.labels[masked.labels != IGNORE_LABEL]
@@ -160,7 +161,8 @@ def mlm_step_grads(masked: MaskedBatch, weights: WeightStore, *,
         accuracy = float((logits.argmax(axis=1) == targets).mean()) if targets.size else 0.0
         return (loss, accuracy), d_hidden, {"embeddings.token": d_weight.T, "mlm.bias": d_bias}
 
-    (loss, accuracy), grads = train_step(weights, masked.inputs, head, train=train, rng=rng)
+    (loss, accuracy), grads = train_step(weights, masked.inputs, head, grads,
+                                         train=train, rng=rng)
     return loss, accuracy, grads
 
 
@@ -261,6 +263,7 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
     fingerprint must match). Emits one JSON record per step to log_sink when
     provided, saves step_NNNNNN.ckpt files every checkpoint_interval steps
     under out_dir, and returns (final WeightStore, list of step records).
+    A non-finite loss or gradient stops the run with ContractViolation.
     """
     config.validate()
     docs = read_corpus(corpus)
@@ -284,8 +287,7 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
     weights.check_compatible(vocab, config.max_len)
     weights.metadata["vocab_fingerprint"] = vocab.fingerprint()
 
-    opt = AdamW(list(expected_shapes(weights.config)), weights.tensors,
-                weight_decay=config.weight_decay)
+    opt = AdamW(weights, expected_shapes(weights.config), weight_decay=config.weight_decay)
     order_rng = seed_stream(config.seed, "pretrain.order")
     mask_rng = seed_stream(config.seed, "pretrain.mask")
     dropout_rng = seed_stream(config.seed, "pretrain.dropout")
@@ -298,10 +300,13 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
         t0 = time.perf_counter()
         batch = [segments[i] for i in next(batches)]
         masked = apply_masking(batch, config.masking, vocab, rng=mask_rng)
-        loss, accuracy, grads = mlm_step_grads(masked, weights, train=True, rng=dropout_rng)
+        loss, accuracy, _ = mlm_step_grads(masked, weights, train=True, rng=dropout_rng,
+                                           grads=opt.zero_grads())
+        grad_norm = opt.checked_grad_norm(step, loss)
         lr = linear_schedule(step, config.steps, config.learning_rate, config.warmup_fraction)
-        opt.step(weights.tensors, grads, lr)
+        opt.step(lr)
         record = {"step": step, "loss": round(loss, 6), "accuracy": round(accuracy, 6),
+                  "lr": lr, "grad_norm": round(grad_norm, 6),
                   "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3)}
         records.append(record)
         if log_sink is not None:

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -116,7 +117,22 @@ def test_pretrain_writes_checkpoints_and_log(tmp_path, fixture_dir):
     assert (pre / "step_000002.ckpt").exists()
     lines = (pre / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 4
-    assert set(json.loads(lines[0])) == {"step", "loss", "accuracy", "wall_ms"}
+    assert set(json.loads(lines[0])) == {"step", "loss", "accuracy", "lr", "grad_norm",
+                                         "wall_ms"}
+
+
+def test_pretrain_stops_at_a_non_finite_step(tmp_path, fixture_dir, capsys):
+    cfg = _write_config(tmp_path, fixture_dir)
+    assert run("pretrain", "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
+    start = load_checkpoint_file(tmp_path / "run" / "pretrain" / "step_000002.ckpt")
+    start.tensors["layer.0.ffn.output"][3, 1] = np.nan
+    save_checkpoint_file(start, tmp_path / "nan.ckpt")
+    capsys.readouterr()
+    code = run("pretrain", "--config", str(cfg), "--out", str(tmp_path / "again"),
+               "--set", f"pretrain.init={tmp_path / 'nan.ckpt'}")
+    assert code == 4
+    assert "step 1:" in capsys.readouterr().err
+    assert not (tmp_path / "again" / "pretrain" / "final.ckpt").exists()
 
 
 def test_killed_pretrain_keeps_the_step_log_up_to_its_newest_checkpoint(tmp_path, fixture_dir):
@@ -287,6 +303,19 @@ def test_convert_bioasq_reports_dropped(tmp_path, fixture_dir, capsys):
     assert f"dropped {expected} unanswerable" in captured
     doc = json.loads(dst.read_text())
     assert doc["data"]
+
+
+def test_convert_bioasq_repeated_question_id_is_data_error(tmp_path, fixture_dir, capsys):
+    doc = json.loads((fixture_dir / "qa_bioasq.json").read_text())
+    doc["questions"][1]["id"] = doc["questions"][0]["id"]
+    src = tmp_path / "bioasq.json"
+    src.write_text(json.dumps(doc))
+    code = run("convert", "--from", "bioasq", "--to", "squad", "--input", str(src),
+               "--passages", str(fixture_dir / "qa_passages.json"),
+               "--output", str(tmp_path / "squad.json"))
+    assert code == 3
+    assert "repeated" in capsys.readouterr().err
+    assert not (tmp_path / "squad.json").exists()
 
 
 def test_convert_malformed_input_is_data_error(tmp_path):

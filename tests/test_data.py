@@ -201,13 +201,13 @@ def test_bioasq_conversion_counts_and_spans():
          "exact_answer": [["erythrasma"]], "documents": ["d1"]},
         {"id": "q2", "type": "factoid", "body": "which?",
          "exact_answer": ["absent"], "documents": ["d1"]},
-        {"id": "q3", "type": "yesno", "body": "is it?", "exact_answer": "yes",
+        {"type": "yesno", "body": "is it?", "exact_answer": "yes",  # needs no id
          "documents": ["d1"]},
     ]
     passages = {"d1": "cutaneous eruptions of erythrasma, erythrasma again"}
     examples, dropped, skipped = bioasq_to_extractive(questions, passages)
     assert dropped == 1 and skipped == 1
-    assert len(examples) == 1
+    assert [ex.id for ex in examples] == ["q1_0"]
     assert len(examples[0].answers) == 2  # every occurrence recorded
     starts = [s for _, s in examples[0].answers]
     assert all(passages["d1"][s:s + len("erythrasma")] == "erythrasma" for s in starts)
@@ -218,6 +218,26 @@ def test_bioasq_dangling_passage_id():
                   "documents": ["nope", "d1"]}]
     with pytest.raises(FormatError, match="nope"):
         bioasq_to_extractive(questions, {"d1": "x here"})
+
+
+@pytest.mark.parametrize("ids", [[None, "q2"], ["q1", ""], ["q1", "q1"], [7, "q2"]])
+def test_bioasq_factoid_needs_its_own_id(ids):
+    questions = [{"type": "factoid", "body": "which?", "exact_answer": ["x"],
+                  "documents": ["d1"]} for _ in ids]
+    for q, id_ in zip(questions, ids):
+        if id_ is not None:
+            q["id"] = id_
+    with pytest.raises(FormatError, match="no id|repeated"):
+        bioasq_to_extractive(questions, {"d1": "x here"})
+
+
+def test_parse_qa_json_refuses_a_repeated_id(tmp_path):
+    examples = [QAExample(id_, "which?", "the zorvat pathway .", answers=(("zorvat", 4),))
+                for id_ in ("q1", "q2", "q1")]
+    path = tmp_path / "qa.json"
+    write_qa_json(examples, path)
+    with pytest.raises(FormatError, match="'q1' is repeated"):
+        parse_qa_json(path)
 
 
 # --- fixtures ---
