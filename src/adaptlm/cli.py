@@ -25,19 +25,18 @@ from . import __version__
 from .checkpoint import load_checkpoint_file, save_checkpoint_file
 from .config import (OUTPUT_ROOT_ENV, Section, apply_overrides, load_config,
                      resolve_out, resolve_seed)
-from .data import (LabeledSentence, RelationLabelSet, atomic_write, bioasq_to_extractive,
-                   load_json, load_ner_dataset, open_text, parse_conll, parse_qa_json,
-                   parse_re_tsv, read_bioasq_questions, write_conll, write_json,
+from .data import (LabeledSentence, atomic_write, bioasq_to_extractive, load_json,
+                   open_text, parse_conll, read_bioasq_questions, write_conll, write_json,
                    write_qa_json)
 from .encoder import EncoderConfig
 from .errors import ConfigError, FormatError, InputError, ToolkitError
 from .fixtures import FixtureRecipe, generate_fixtures, parse_recipe
 from .heads import (GRID_BATCH_SIZES, GRID_LEARNING_RATES, TASKS, FinetuneConfig,
-                    evaluate, finetune, trained_scheme)
+                    evaluate, finetune)
 from .metrics import config_fingerprint, score
-from .pretrain import (MaskingPolicy, PretrainConfig, read_corpus,
+from .pretrain import (MaskingPolicy, PretrainConfig, read_corpus, seed_stream,
                        subsample_documents, train_mlm)
-from .tags import TagScheme, bio_to_bioes, bioes_to_bio, parse_tag
+from .tags import bio_to_bioes, bioes_to_bio
 from .tokenizer import basic_tokenize, wordpiece_split
 from .vocab import UNK, load_vocabulary_file
 
@@ -52,25 +51,6 @@ def _say(msg: str) -> None:
 
 def _load_vocab(cfg):
     return load_vocabulary_file(Section(cfg, "global").path("vocab"))
-
-
-def _task_data(task: str, section: Section, key: str, labels: RelationLabelSet | None):
-    path = section.path(key)
-    if task == "ner":
-        return load_ner_dataset(path, scheme=section.str("scheme", "bioes"),
-                                lenient=section.bool("lenient", False))
-    if task == "re":
-        return parse_re_tsv(path, labels)
-    return parse_qa_json(path)
-
-
-def _relation_labels(section: Section) -> RelationLabelSet:
-    return RelationLabelSet(tuple(section.list_of("labels", str, ("negative", "positive"))))
-
-
-def _tag_scheme_from(datasets) -> TagScheme:
-    types = {parse_tag(tag)[1] for sentences in datasets for s in sentences for tag in s.tags}
-    return TagScheme(tuple(sorted(types - {None})) or ("ENT",))
 
 
 def _fingerprint(cfg) -> str:
@@ -119,15 +99,12 @@ def _finetune_once(task, cfg, seed, init_path, out_dir, provenance):
     vocab = _load_vocab(cfg)
     fcfg = section.load(FinetuneConfig, seed=seed)
     init = load_checkpoint_file(init_path)
-    labels = _relation_labels(section) if task == "re" else None
-    train = _task_data(task, section, "train", labels)
-    dev = _task_data(task, section, "dev", labels)
-    scheme = _tag_scheme_from([train, dev]) if task == "ner" else None
-    intermediate = None
-    if task == "qa" and section.has("intermediate"):
-        intermediate = parse_qa_json(section.path("intermediate"))
-    result = finetune(task, train, dev, init, fcfg, vocab, scheme=scheme,
-                      labels=labels, intermediate=intermediate, provenance=provenance)
+    spec = TASKS[task]
+    train, dev = (spec.read(section, key) for key in ("train", "dev"))
+    intermediate = spec.read(section, "intermediate") if section.has("intermediate") else []
+    space = spec.label_space(section, [train, dev, intermediate], {})
+    result = finetune(task, train, dev, init, fcfg, vocab, labels=space,
+                      intermediate=intermediate, provenance=provenance)
     result.report.config_fingerprint = _fingerprint(cfg)
     save_checkpoint_file(result.weights, out_dir / "best.ckpt")
     with atomic_write(out_dir / "report.json") as f:
@@ -183,7 +160,8 @@ def cmd_evaluate(args, cfg) -> int:
     seed = resolve_seed(args.seed, cfg)
     out = resolve_out(args.out, cfg) / "evaluate"
     provenance = section.str("provenance", "unspecified")
-    labels = _relation_labels(section) if task == "re" else None
+    spec = TASKS[task]
+    labels = spec.label_space(section, [], {})  # what the section alone sets: RE's labels
 
     if args.dry_run:
         mode = "predictions" if section.has("pred") else "model"
@@ -194,16 +172,16 @@ def cmd_evaluate(args, cfg) -> int:
     fcfg = Section(cfg, "finetune").load(FinetuneConfig, seed=seed)
     name = section.str("dataset_name", "eval")
     if section.has("pred"):
-        gold, pred = _prediction_files(task, section, labels)
-        report = score(task, gold, pred, name, provenance,
-                       positive=labels.positive if labels else (), n_best=fcfg.n_best)
+        gold, pred = spec.pairs(section.path("gold"), section.path("pred"), section)
+        report = score(task, gold, pred, name, provenance, n_best=fcfg.n_best,
+                       positive=getattr(labels, "positive", ()))
     else:
         vocab = _load_vocab(cfg)
         weights = load_checkpoint_file(section.path("checkpoint"))
         weights.check_compatible(vocab, fcfg.max_len)
-        data = _task_data(task, section, "data", labels)
-        scheme = (trained_scheme(weights) or _tag_scheme_from([data])) if task == "ner" else None
-        report = evaluate(task, weights, data, vocab, fcfg, scheme=scheme, labels=labels,
+        data = spec.read(section, "data")
+        space = spec.label_space(section, [data], weights.metadata)
+        report = evaluate(task, weights, data, vocab, fcfg, labels=space,
                           dataset_name=name, provenance=provenance)
     report.config_fingerprint = _fingerprint(cfg)
     with atomic_write(out / "report.json") as f:
@@ -213,66 +191,20 @@ def cmd_evaluate(args, cfg) -> int:
     return 0
 
 
-def _prediction_files(task, section, labels) -> tuple[list, list]:
-    """Parallel task-native gold and predictions from the [evaluate] gold and
-    pred files: NER sentences pair in file order, RE and QA rows by id."""
-    gold_path, pred_path = section.path("gold"), section.path("pred")
-    if task == "ner":
-        scheme = section.str("scheme", "bioes")
-        gold = load_ner_dataset(gold_path, scheme=scheme)
-        pred = load_ner_dataset(pred_path, scheme=scheme,
-                                lenient=section.bool("lenient", True))
-        return [s.tags for s in gold], [s.tags for s in pred]
-    if task == "re":
-        gold, pred = (_by_id([(ex.id, ex.label) for ex in parse_re_tsv(path, labels)], path)
-                      for path in (gold_path, pred_path))
-    else:
-        gold = _by_id([(ex.id, ex.gold_answers) for ex in parse_qa_json(gold_path)], gold_path)
-        pred = load_json(pred_path)
-        if not (isinstance(pred, dict) and all(
-                isinstance(answers, list) and all(isinstance(a, str) for a in answers)
-                for answers in pred.values())):
-            raise FormatError(f"{pred_path}: QA predictions must be a JSON object "
-                              "mapping each question id to a list of answer strings")
-    unpaired = sorted(gold.keys() ^ pred.keys())
-    if unpaired:
-        where, other = (gold_path, pred_path) if unpaired[0] in gold else (pred_path, gold_path)
-        raise InputError(f"id {unpaired[0]!r} is in {where} but not in {other}")
-    return list(gold.values()), [pred[key] for key in gold]
-
-
-def _by_id(rows, path) -> dict:
-    """{id: value} from (id, value) rows; a repeated id is a data error."""
-    values = {}
-    for key, value in rows:
-        if key in values:
-            raise InputError(f"{path}: id {key!r} is repeated")
-        values[key] = value
-    return values
-
-
 def cmd_convert(args, cfg) -> int:
     pair = (args.source_kind, args.target_kind)
     if args.dry_run:
         _say(f"convert plan: {pair[0]} -> {pair[1]}: {args.input} -> {args.output}")
         return 0
-    if pair == ("conll-bio", "conll-bioes"):
-        sentences = parse_conll(args.input, scheme="bio")
-        converted = [LabeledSentence(s.words, tuple(bio_to_bioes(list(s.tags))))
-                     for s in sentences]
-        write_conll(converted, args.output)
-        _say(f"converted {len(converted)} sentences")
-    elif pair == ("conll-bioes", "conll-bio"):
-        sentences = parse_conll(args.input, scheme="bioes")
-        converted = [LabeledSentence(s.words, tuple(bioes_to_bio(list(s.tags))))
-                     for s in sentences]
-        write_conll(converted, args.output)
-        _say(f"converted {len(converted)} sentences")
-    elif pair in (("conll-bio", "conll-bio"), ("conll-bioes", "conll-bioes")):
-        scheme = "bio" if pair[0] == "conll-bio" else "bioes"
-        sentences = parse_conll(args.input, scheme=scheme)
+    schemes = {"conll-bio": "bio", "conll-bioes": "bioes"}
+    if pair[0] in schemes and pair[1] in schemes:
+        sentences = parse_conll(args.input, scheme=schemes[pair[0]])
+        convert = {("conll-bio", "conll-bioes"): bio_to_bioes,
+                   ("conll-bioes", "conll-bio"): bioes_to_bio}.get(pair)
+        if convert:
+            sentences = [LabeledSentence(s.words, tuple(convert(list(s.tags)))) for s in sentences]
         write_conll(sentences, args.output)
-        _say(f"normalized {len(sentences)} sentences")
+        _say(f"{'converted' if convert else 'normalized'} {len(sentences)} sentences")
     elif pair == ("bioasq", "squad"):
         if not args.passages:
             raise ConfigError("bioasq -> squad conversion needs --passages")
@@ -310,13 +242,10 @@ def cmd_corpus_stats(args, cfg) -> int:
         "split_rate": n_split / n_words if n_words else 0.0,
         "unk_rate": n_unk / n_words if n_words else 0.0,
     }
-    rows = [("words", f"{stats['words']}"), ("subtokens", f"{stats['subtokens']}"),
-            ("fertility", f"{stats['fertility']:.4f}"),
-            ("split rate", f"{stats['split_rate']:.4f}"),
-            ("unk rate", f"{stats['unk_rate']:.4f}")]
-    width = max(len(k) for k, _ in rows)
-    for k, v in rows:
-        _say(f"{k.ljust(width)}  {v}")
+    width = max(len(key) for key in stats)
+    for key, value in stats.items():
+        shown = value if isinstance(value, int) else f"{value:.4f}"
+        _say(f"{key.replace('_', ' ').ljust(width)}  {shown}")
     if not args.dry_run:
         write_json(stats, out / "corpus_stats.json", indent=2)
         _say(f"wrote {out}/corpus_stats.json")
@@ -354,9 +283,9 @@ def cmd_sweep(args, cfg) -> int:
 
     vocab = _load_vocab(cfg)
     fin_section = Section(cfg, "finetune")
-    train, dev, test = (_task_data("ner", fin_section, key, None)
-                        for key in ("train", "dev", "test"))
-    scheme = _tag_scheme_from([train, dev, test])
+    ner = TASKS["ner"]
+    train, dev, test = (ner.read(fin_section, key) for key in ("train", "dev", "test"))
+    scheme = ner.label_space(fin_section, [train, dev, test], {})
 
     rows = []
     for value, source in zip(values, sources):
@@ -391,8 +320,6 @@ def cmd_sweep(args, cfg) -> int:
 
 def _sweep_fraction_pretrain(cfg, vocab, fraction, seed, out):
     """Continued pretraining on a deterministic corpus subsample."""
-    from .pretrain import seed_stream
-
     section = Section(cfg, "pretrain")
     sweep_section = Section(cfg, "sweep")
     init = load_checkpoint_file(sweep_section.path("init"))
@@ -432,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"adaptlm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--seed", type=int, default=None, help="global seed")
         p.add_argument("--out", default=None,
@@ -441,22 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="validate and print the plan without writing")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value (repeatable; wins over the file)")
+        return p
 
-    p = sub.add_parser("pretrain", help="masked-LM pretraining / continuation")
-    common(p)
-    p.set_defaults(func=cmd_pretrain)
-
-    p = sub.add_parser("finetune", help="fine-tune a task head end to end")
-    common(p)
-    p.add_argument("--grid", action="store_true", help="run the batch x lr grid")
-    p.set_defaults(func=cmd_finetune)
-
-    p = sub.add_parser("evaluate", help="score a checkpoint or prediction files")
-    common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("convert", help="convert between dataset formats")
-    common(p)
+    command("pretrain", cmd_pretrain, "masked-LM pretraining / continuation")
+    command("finetune", cmd_finetune, "fine-tune a task head end to end").add_argument(
+        "--grid", action="store_true", help="run the batch x lr grid")
+    command("evaluate", cmd_evaluate, "score a checkpoint or prediction files")
+    p = command("convert", cmd_convert, "convert between dataset formats")
     p.add_argument("--from", dest="source_kind", required=True,
                    choices=["conll-bio", "conll-bioes", "bioasq"])
     p.add_argument("--to", dest="target_kind", required=True,
@@ -464,22 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--passages", help="passage id -> text JSON (bioasq -> squad)")
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("corpus-stats", help="subword fertility and UNK statistics")
-    common(p)
+    p = command("corpus-stats", cmd_corpus_stats, "subword fertility and UNK statistics")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
-    p.set_defaults(func=cmd_corpus_stats)
-
-    p = sub.add_parser("sweep", help="corpus-size or checkpoint-step ablation")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("fixtures", help="generate synthetic corpora and datasets")
-    common(p)
-    p.add_argument("--recipe", help="recipe file (defaults to the built-in recipe)")
-    p.set_defaults(func=cmd_fixtures)
+    command("sweep", cmd_sweep, "corpus-size or checkpoint-step ablation")
+    command("fixtures", cmd_fixtures, "generate synthetic corpora and datasets").add_argument(
+        "--recipe", help="recipe file (defaults to the built-in recipe)")
     return parser
 
 

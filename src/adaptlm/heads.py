@@ -1,6 +1,7 @@
 """Task heads and fine-tuning: token-level BIOES tagging, sentence-level
 relation classification on the position-0 vector, and start/end span
-extraction, each a single affine layer on encoder outputs.
+extraction, each a single affine layer on encoder outputs. TASKS holds all
+that differs between the three tasks, from reading a dataset to scoring.
 
 Fine-tuning trains the head plus all encoder weights end to end through
 encoder.train_step and keeps the checkpoint with the best dev metric
@@ -12,19 +13,21 @@ through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .data import LabeledSentence, QAExample, RelationExample, RelationLabelSet
+from .data import (LabeledSentence, QAExample, RelationExample, RelationLabelSet, load_json,
+                   load_ner_dataset, parse_qa_json, parse_re_tsv)
 from .encoder import (HEAD_PREFIX, IGNORE_LABEL, WeightStore, affine_xent,
                       expected_shapes, forward_arrays, init_head, train_step)
-from .errors import ConfigError, InputError, NoAnswerError
+from .errors import ConfigError, FormatError, InputError, NoAnswerError
 from .metrics import EvalReport, normalize_answer, score
 from .optimizer import AdamW, linear_schedule
 from .pretrain import seed_stream
-from .tags import TagScheme, repair_bioes
+from .tags import TagScheme, parse_tag, repair_bioes
 from .tokenizer import (EncodedInput, NO_WORD, batch_arrays, encode_sequence,
                         encode_windows, first_subtokens)
 from .vocab import Vocabulary
@@ -32,8 +35,6 @@ from .vocab import Vocabulary
 GRID_BATCH_SIZES = (10, 16, 32, 64)
 GRID_LEARNING_RATES = (5e-5, 3e-5, 1e-5)
 EVAL_BATCH_SIZE = 32  # rows per inference forward
-
-TASKS = ("ner", "re", "qa")
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,6 @@ def head_logits(hidden: np.ndarray, weights: WeightStore, task: str, n_out: int)
     if w.shape[-1] != n_out:
         raise InputError(f"the {task} head emits {w.shape[-1]} values where {n_out} are expected")
     return hidden @ w + weights.tensors[f"{HEAD_PREFIX}{task}.bias"]
-
-
-def trained_scheme(weights: WeightStore) -> TagScheme | None:
-    """The tag scheme the NER head was fine-tuned with, None for weights that
-    do not record it. The types are joined by spaces, which tags cannot hold."""
-    types = weights.metadata.get("entity_types")
-    return None if types is None else TagScheme(tuple(types.split(" ")))
 
 
 def ner_decode(logits: np.ndarray, encoded: EncodedInput, scheme: TagScheme,
@@ -186,19 +180,16 @@ def filter_unanswerable(examples: list[QAExample]):
     """Keep examples whose normalized gold answer occurs in the normalized
     passage; returns (kept, dropped_count)."""
     kept = []
-    dropped = 0
     for ex in examples:
         golds = ex.gold_answers or tuple(t for t, _ in ex.answers)
         passage_norm = " ".join(ex.passage.casefold().split())
         if any(normalize_answer(g) and normalize_answer(g) in passage_norm for g in golds):
             kept.append(ex)
-        else:
-            dropped += 1
-    return kept, dropped
+    return kept, len(examples) - len(kept)
 
 
 # ---------------------------------------------------------------------------
-# fine-tuning
+# fine-tuning, prediction and the task table
 # ---------------------------------------------------------------------------
 
 class FinetuneResult(NamedTuple):
@@ -207,45 +198,57 @@ class FinetuneResult(NamedTuple):
     log: list[dict]
 
 
-def _task_head(weights: WeightStore, task: str, encodings, targets):
+def _task_head(weights: WeightStore, task: str, encodings, targets, span: bool = False):
     """The head(hidden) of one fine-tuning batch, for train_step.
 
-    NER and RE score their affine layer with cross-entropy at labelled
-    positions: first subtokens for NER, position 0 for RE. QA scores start and
-    end positions with two softmaxes over each window's admissible positions,
-    averaged over both ends and the batch.
+    A label head (NER, RE) scores its affine layer with cross-entropy at
+    every position whose target is not IGNORE_LABEL: first subtokens for NER,
+    position 0 for RE. A span head (QA) scores start and end positions with
+    two softmaxes over each window's admissible positions, averaged over both
+    ends and the batch.
     """
     names = (f"{HEAD_PREFIX}{task}.weight", f"{HEAD_PREFIX}{task}.bias")
     w, bias = (weights.tensors[name] for name in names)
-    if task == "qa":
-        spans = np.asarray(targets, dtype=np.int64)
-        admissible = np.stack([admissible_positions(e) for e in encodings])
-
-        def span_head(hidden):
-            b, l, h = hidden.shape
-            logits = hidden @ w + bias
-            mask = np.where(admissible, hidden.dtype.type(0), hidden.dtype.type(-1e9))
-            loss = 0.0
-            d_cols = []
-            for col in (0, 1):  # start, end
-                losses, d = kernels.softmax_xent(logits[..., col] + mask, spans[:, col])
-                loss += float(losses.mean()) / 2.0
-                d_cols.append(d / (2 * b))
-            d_logits = np.stack(d_cols, axis=-1)  # (B, L, 2)
-            d_w = hidden.reshape(b * l, h).T @ d_logits.reshape(b * l, 2)
-            return loss, d_logits @ w.T, dict(zip(names, (d_w, d_logits.sum(axis=(0, 1)))))
-        return span_head
-
-    if task == "ner":
+    if not span:
         labels = np.stack(targets)
-    else:
-        labels = np.full((len(targets), len(encodings[0])), IGNORE_LABEL, dtype=np.int64)
-        labels[:, 0] = targets
 
-    def label_head(hidden):
-        loss, _, d_hidden, d_w, d_b = affine_xent(hidden, labels, w, bias)
-        return loss, d_hidden, dict(zip(names, (d_w, d_b)))
-    return label_head
+        def label_head(hidden):
+            loss, _, d_hidden, d_w, d_b = affine_xent(hidden, labels, w, bias)
+            return loss, d_hidden, dict(zip(names, (d_w, d_b)))
+        return label_head
+
+    spans = np.asarray(targets, dtype=np.int64)
+    admissible = np.stack([admissible_positions(e) for e in encodings])
+
+    def span_head(hidden):
+        b, l, h = hidden.shape
+        logits = hidden @ w + bias
+        mask = np.where(admissible, hidden.dtype.type(0), hidden.dtype.type(-1e9))
+        loss = 0.0
+        d_cols = []
+        for col in (0, 1):  # start, end
+            losses, d = kernels.softmax_xent(logits[..., col] + mask, spans[:, col])
+            loss += float(losses.mean()) / 2.0
+            d_cols.append(d / (2 * b))
+        d_logits = np.stack(d_cols, axis=-1)  # (B, L, 2)
+        d_w = hidden.reshape(b * l, h).T @ d_logits.reshape(b * l, 2)
+        return loss, d_logits @ w.T, dict(zip(names, (d_w, d_logits.sum(axis=(0, 1)))))
+    return span_head
+
+
+def _prepare_ner(sentences, vocab, config, scheme):
+    """(encoding, per-position tag ids) pairs, as align_labels gives them."""
+    encodings = [encode_sequence(" ".join(s.words), None, vocab, config.max_len)
+                 for s in sentences]
+    return [(e, align_labels(s, e, scheme)) for s, e in zip(sentences, encodings)]
+
+
+def _prepare_re(examples, vocab, config, labels):
+    """(encoding, target row) pairs whose one target, at position 0, is the
+    class id."""
+    encodings = [encode_sequence(ex.sentence, None, vocab, config.max_len) for ex in examples]
+    return [(e, np.where(np.arange(len(e)) == 0, labels.labels.index(ex.label), IGNORE_LABEL))
+            for e, ex in zip(encodings, examples)]
 
 
 def _char_span_to_subtokens(encoded: EncodedInput, char_start: int, char_end: int):
@@ -264,19 +267,17 @@ def _char_span_to_subtokens(encoded: EncodedInput, char_start: int, char_end: in
     return start_pos, end_pos
 
 
-def _prepare_qa_training(examples, vocab, config):
+def _prepare_qa(examples, vocab, config, _):
     """(window, (start, end)) pairs for every window containing a gold span."""
     items = []
     for ex in examples:
         for window in encode_windows(ex.question, ex.passage, vocab,
                                      config.max_len, config.doc_stride):
-            target = None
             for text, start in ex.answers:
                 target = _char_span_to_subtokens(window, start, start + len(text))
                 if target is not None:
+                    items.append((window, target))
                     break
-            if target is not None:
-                items.append((window, target))
     return items
 
 
@@ -326,53 +327,160 @@ def predict_qa(weights: WeightStore, examples: list[QAExample], vocab: Vocabular
                 continue
             candidates.extend(ranked)
         candidates.sort(key=lambda sp: (-sp.score, sp.start, sp.end))
-        seen: set[str] = set()
-        answers = []
+        answers: dict[str, str] = {}  # normalized text -> its best-scoring answer
         for cand in candidates:
-            key = normalize_answer(cand.text)
-            if key in seen:
-                continue
-            seen.add(key)
-            answers.append(cand.text)
-            if len(answers) == config.n_best:
-                break
-        ranked_all.append(answers)
+            answers.setdefault(normalize_answer(cand.text), cand.text)
+        ranked_all.append(list(answers.values())[:config.n_best])
     return ranked_all
 
 
-def evaluate_ner(weights, sentences, vocab, scheme, max_len,
-                 dataset_name="dev", provenance="unspecified") -> EvalReport:
-    pred = predict_ner(weights, sentences, vocab, scheme, max_len)
-    return score("ner", [s.tags for s in sentences], pred, dataset_name, provenance)
+def _relation_labels(section) -> RelationLabelSet:
+    """The [section] labels setting; fewer than two unique labels is a config error."""
+    try:
+        return RelationLabelSet(tuple(section.list_of("labels", str, ("negative", "positive"))))
+    except InputError as e:
+        raise ConfigError(f"[{section.name}] labels: {e}") from None
 
 
-def evaluate_re(weights, examples, vocab, labels, max_len,
-                dataset_name="dev", provenance="unspecified") -> EvalReport:
-    pred = predict_re(weights, examples, vocab, labels, max_len)
-    return score("re", [ex.label for ex in examples], pred, dataset_name, provenance,
-                 positive=labels.positive)
+def _tag_scheme(datasets, metadata) -> TagScheme:
+    """The scheme a checkpoint's metadata records (the types joined by spaces,
+    which tags cannot hold), else one over the entity types of the datasets."""
+    if "entity_types" in metadata:
+        return TagScheme(tuple(metadata["entity_types"].split(" ")))
+    types = {parse_tag(tag)[1] for sentences in datasets for s in sentences for tag in s.tags}
+    return TagScheme(tuple(sorted(types - {None})) or ("ENT",))
 
 
-def evaluate_qa(weights, examples, vocab, config,
-                dataset_name="dev", provenance="unspecified") -> EvalReport:
-    pred = predict_qa(weights, examples, vocab, config)
-    return score("qa", [ex.gold_answers for ex in examples], pred, dataset_name, provenance,
-                 n_best=config.n_best)
+def _paired(gold_path, pred_path, read_gold, read_pred=None) -> tuple[list, list]:
+    """Parallel gold and predicted values from files of (id, value) rows,
+    which read_gold and read_pred (default read_gold) take from a path; an
+    id repeated in a file, or in only one of them, is a data error."""
+    gold, pred = {}, {}
+    for path, read, values in ((gold_path, read_gold, gold),
+                               (pred_path, read_pred or read_gold, pred)):
+        for key, value in read(path):
+            if key in values:
+                raise InputError(f"{path}: id {key!r} is repeated")
+            values[key] = value
+    unpaired = sorted(gold.keys() ^ pred.keys())
+    if unpaired:
+        where, other = (gold_path, pred_path) if unpaired[0] in gold else (pred_path, gold_path)
+        raise InputError(f"id {unpaired[0]!r} is in {where} but not in {other}")
+    return list(gold.values()), [pred[key] for key in gold]
+
+
+def _ner_pairs(gold_path, pred_path, section) -> tuple[list, list]:
+    """Tag sequences of a gold and a predicted CoNLL file, paired in file
+    order; the predictions are repaired unless [section] lenient is off."""
+    scheme = section.str("scheme", "bioes")
+    gold = load_ner_dataset(gold_path, scheme=scheme)
+    pred = load_ner_dataset(pred_path, scheme=scheme, lenient=section.bool("lenient", True))
+    return [s.tags for s in gold], [s.tags for s in pred]
+
+
+def _qa_predictions(path) -> list:
+    """(question id, ranked answers) rows of a QA prediction file."""
+    pred = load_json(path)
+    if not (isinstance(pred, dict) and all(
+            isinstance(answers, list) and all(isinstance(a, str) for a in answers)
+            for answers in pred.values())):
+        raise FormatError(f"{path}: QA predictions must be a JSON object "
+                          "mapping each question id to a list of answer strings")
+    return pred.items()
+
+
+class Task(NamedTuple):
+    """Everything that differs between tasks. A `section` is the config
+    section a command reads: anything with config.Section's name, path, str,
+    bool and list_of. The predict entries call the module's predict_*
+    functions by name, so a wrapper installed on the module sees each call."""
+
+    read: Callable  # (section, key) -> the dataset at the path [section] key names
+    width: Callable  # label space -> head outputs per position
+    prepare: Callable  # (dataset, vocab, FinetuneConfig, space) -> [(encoding, target)]
+    head: Callable  # (weights, task, encodings, targets) -> head(hidden) for train_step
+    predict: Callable  # (weights, dataset, vocab, space, FinetuneConfig) -> predictions
+    gold: Callable  # dataset -> gold values, parallel to the predictions
+    pairs: Callable  # (gold path, pred path, section) -> parallel gold and predictions
+    space: type = object  # the label space's kind; object for a task without one
+    label_space: Callable = lambda section, datasets, metadata: None
+    metadata: Callable = lambda space: {}  # the checkpoint metadata recording the space
+
+
+TASKS = {
+    "ner": Task(
+        space=TagScheme,
+        read=lambda section, key: load_ner_dataset(
+            section.path(key), scheme=section.str("scheme", "bioes"),
+            lenient=section.bool("lenient", False)),
+        label_space=lambda section, datasets, metadata: _tag_scheme(datasets, metadata),
+        metadata=lambda scheme: {"entity_types": " ".join(scheme.entity_types)},
+        width=len, prepare=_prepare_ner, head=_task_head,
+        predict=lambda w, data, vocab, scheme, config: predict_ner(
+            w, data, vocab, scheme, config.max_len),
+        gold=lambda sentences: [s.tags for s in sentences],
+        pairs=_ner_pairs),
+    "re": Task(
+        space=RelationLabelSet,
+        read=lambda section, key: parse_re_tsv(section.path(key), _relation_labels(section)),
+        label_space=lambda section, datasets, metadata: _relation_labels(section),
+        width=lambda labels: len(labels.labels), prepare=_prepare_re, head=_task_head,
+        predict=lambda w, data, vocab, labels, config: predict_re(
+            w, data, vocab, labels, config.max_len),
+        gold=lambda examples: [ex.label for ex in examples],
+        pairs=lambda gold, pred, section: _paired(gold, pred, lambda path: [
+            (ex.id, ex.label) for ex in parse_re_tsv(path, _relation_labels(section))])),
+    "qa": Task(
+        read=lambda section, key: parse_qa_json(section.path(key)),
+        width=lambda _: 2, prepare=_prepare_qa, head=partial(_task_head, span=True),
+        predict=lambda w, data, vocab, _, config: predict_qa(w, data, vocab, config),
+        gold=lambda examples: [ex.gold_answers for ex in examples],
+        pairs=lambda gold, pred, section: _paired(gold, pred, lambda path: [
+            (ex.id, ex.gold_answers) for ex in parse_qa_json(path)], _qa_predictions)),
+}
+
+
+def _task(task: str, scheme, labels) -> tuple[Task, object]:
+    """The task's table entry and label space: `scheme` or `labels`, whichever
+    is of the task's kind (TagScheme for NER, RelationLabelSet for RE)."""
+    if task not in TASKS:
+        raise ConfigError(f"unknown task {task!r}")
+    spec = TASKS[task]
+    space = scheme if isinstance(scheme, spec.space) else labels
+    if not isinstance(space, spec.space):
+        raise ConfigError(f"{task} needs a {spec.space.__name__}")
+    return spec, space
 
 
 def evaluate(task: str, weights: WeightStore, data, vocab: Vocabulary,
              config: FinetuneConfig, *, scheme: TagScheme | None = None,
              labels: RelationLabelSet | None = None, dataset_name: str = "dev",
              provenance: str = "unspecified") -> EvalReport:
-    """The model's predictions on data scored by the task's scorer; NER
-    decodes with `scheme`, RE with `labels`."""
-    if task == "ner":
-        return evaluate_ner(weights, data, vocab, scheme, config.max_len,
-                            dataset_name, provenance)
-    if task == "re":
-        return evaluate_re(weights, data, vocab, labels, config.max_len,
-                           dataset_name, provenance)
-    return evaluate_qa(weights, data, vocab, config, dataset_name, provenance)
+    """The model's predictions on data scored by the task's scorer, which
+    counts the RE label space's positive labels and the first n_best QA
+    answers; `scheme` or `labels` is the label space (see _task)."""
+    spec, space = _task(task, scheme, labels)
+    return score(task, spec.gold(data), spec.predict(weights, data, vocab, space, config),
+                 dataset_name, provenance, positive=getattr(space, "positive", frozenset()),
+                 n_best=config.n_best)
+
+
+def evaluate_ner(weights, sentences, vocab, scheme, max_len,
+                 dataset_name="dev", provenance="unspecified") -> EvalReport:
+    return evaluate("ner", weights, sentences, vocab, FinetuneConfig(max_len=max_len),
+                    scheme=scheme, dataset_name=dataset_name, provenance=provenance)
+
+
+def evaluate_re(weights, examples, vocab, labels, max_len,
+                dataset_name="dev", provenance="unspecified") -> EvalReport:
+    return evaluate("re", weights, examples, vocab, FinetuneConfig(max_len=max_len),
+                    labels=labels, dataset_name=dataset_name, provenance=provenance)
+
+
+def evaluate_qa(weights, examples, vocab, config,
+                dataset_name="dev", provenance="unspecified") -> EvalReport:
+    return evaluate("qa", weights, examples, vocab, config,
+                    dataset_name=dataset_name, provenance=provenance)
 
 
 def finetune(task: str, train_data, dev_data, init: WeightStore,
@@ -383,12 +491,11 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
     """Train head plus encoder end to end; return the best-dev checkpoint,
     its EvalReport and the per-epoch log.
 
-    For task "qa", intermediate may hold a warm-up span dataset trained first
-    (the two phases are marked in the log); dev selection applies to the
-    target phase.
+    `scheme` or `labels` is the task's label space (see _task). A non-empty
+    `intermediate` dataset of the same task is trained first (the two phases
+    are marked in the log); dev selection applies to the target phase.
     """
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}")
+    spec, space = _task(task, scheme, labels)
     config.validate()
     init.check_compatible(vocab, config.max_len)
     if not train_data and config.epochs > 0:
@@ -397,40 +504,15 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
     weights = init.clone()
     init_rng = seed_stream(config.seed, "finetune.init")
     head_seed = int(init_rng.integers(0, 2**31 - 1))
-    if task == "ner":
-        if scheme is None:
-            raise ConfigError("ner fine-tuning needs a TagScheme")
-        out_dim = len(scheme)
-        weights.metadata["entity_types"] = " ".join(scheme.entity_types)
-    elif task == "re":
-        if labels is None:
-            raise ConfigError("re fine-tuning needs a RelationLabelSet")
-        out_dim = len(labels.labels)
-    else:
-        out_dim = 2
-    head = init_head(weights.config, task, out_dim, head_seed)
+    weights.metadata.update(spec.metadata(space))
+    head = init_head(weights.config, task, spec.width(space), head_seed)
     weights.tensors.update(head)
 
     data_rng = seed_stream(config.seed, "finetune.data")
     dropout_rng = seed_stream(config.seed, "finetune.dropout")
-
-    def prepared(dataset):
-        if task == "ner":
-            enc = [encode_sequence(" ".join(s.words), None, vocab, config.max_len)
-                   for s in dataset]
-            lab = [align_labels(s, e, scheme) for s, e in zip(dataset, enc)]
-            return list(zip(enc, lab))
-        if task == "re":
-            label_ids = {name: i for i, name in enumerate(labels.labels)}
-            return [(encode_sequence(ex.sentence, None, vocab, config.max_len),
-                     label_ids[ex.label]) for ex in dataset]
-        return _prepare_qa_training(dataset, vocab, config)
-
-    log: list[dict] = []
-    phases = []
-    if task == "qa" and intermediate:
-        phases.append(("intermediate", prepared(intermediate)))
-    phases.append(("target", prepared(train_data)))
+    phases = [("intermediate", intermediate)] if intermediate else []
+    phases = [(name, spec.prepare(data, vocab, config, space))
+              for name, data in [*phases, ("target", train_data)]]
 
     opt = AdamW(weights, [*expected_shapes(weights.config), *head],
                 weight_decay=config.weight_decay)
@@ -438,11 +520,11 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
                        for name, items in phases}
     total_steps = max(1, config.epochs * sum(steps_per_epoch.values()))
 
+    log: list[dict] = []
     best_weights = weights.clone()
-    best_report = evaluate(task, weights, dev_data, vocab, config, scheme=scheme,
-                           labels=labels, provenance=provenance)
-    best_metric = best_report.primary_metric()
-    log.append({"phase": "init", "epoch": 0, "dev_metric": best_metric})
+    best_report = evaluate(task, weights, dev_data, vocab, config, labels=space,
+                           provenance=provenance)
+    log.append({"phase": "init", "epoch": 0, "dev_metric": best_report.primary_metric()})
 
     step = 0
     for phase_name, items in phases:
@@ -450,7 +532,6 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
         for epoch in range(1, config.epochs + 1):
             order = data_rng.permutation(len(items))
             epoch_loss = 0.0
-            n_batches = 0
             for lo in range(0, len(items), config.batch_size):
                 chunk = [items[i] for i in order[lo:lo + config.batch_size]]
                 step += 1
@@ -458,21 +539,18 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
                                      config.warmup_fraction)
                 encodings, targets = zip(*chunk)
                 loss, _ = train_step(weights, encodings,
-                                     _task_head(weights, task, encodings, targets),
+                                     spec.head(weights, task, encodings, targets),
                                      opt.zero_grads(), rng=dropout_rng)
                 opt.checked_grad_norm(step, loss)
                 opt.step(lr)
                 epoch_loss += loss
-                n_batches += 1
-            report = evaluate(task, weights, dev_data, vocab, config, scheme=scheme,
-                              labels=labels, provenance=provenance)
+            report = evaluate(task, weights, dev_data, vocab, config, labels=space,
+                              provenance=provenance)
             metric = report.primary_metric()
-            record = {"phase": phase_name, "epoch": epoch,
-                      "train_loss": round(epoch_loss / max(n_batches, 1), 6),
-                      "dev_metric": round(metric, 6)}
-            log.append(record)
-            if phase_name == "target" and metric > best_metric:
-                best_metric = metric
+            log.append({"phase": phase_name, "epoch": epoch,
+                        "train_loss": round(epoch_loss / steps_per_epoch[phase_name], 6),
+                        "dev_metric": round(metric, 6)})
+            if phase_name == "target" and metric > best_report.primary_metric():
                 best_weights = weights.clone()
                 best_report = report
     return FinetuneResult(best_weights, best_report, log)

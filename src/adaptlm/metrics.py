@@ -16,7 +16,7 @@ import json
 import string
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .tags import check_bioes, parse_tag
 
 N_BEST_DEFAULT = 5
@@ -162,9 +162,17 @@ def pool_qa_tallies(tally_sets: list[dict]) -> tuple[float, float, float]:
 # reports
 # ---------------------------------------------------------------------------
 
-# each task's metric names (the last selects on dev) and its pooling of counts
-_PRF = (("precision", "recall", "f1"), micro_average)
-METRICS = {"ner": _PRF, "re": _PRF, "qa": (("strict", "lenient", "mrr"), pool_qa_tallies)}
+# each task's metric names (the last selects on dev), its pooling of counts,
+# and its scorer: (gold, pred, positive, n_best) -> (*values, counts)
+_PRF = ("precision", "recall", "f1")
+METRICS = {
+    "ner": (_PRF, micro_average, lambda gold, pred, positive, n_best: entity_prf(
+        [spans_from_tags(tags) for tags in gold], [spans_from_tags(tags) for tags in pred])),
+    "re": (_PRF, micro_average, lambda gold, pred, positive, n_best: classification_prf(
+        gold, pred, positive)),
+    "qa": (("strict", "lenient", "mrr"), pool_qa_tallies,
+           lambda gold, pred, positive, n_best: qa_metrics(pred, gold, n_best=n_best)),
+}
 
 
 @dataclass
@@ -183,12 +191,12 @@ class EvalReport:
     def micro(self) -> dict:
         if not self.datasets:
             return {}
-        names, pool = METRICS[self.task]
+        names, pool, _ = METRICS[self.task]
         return dict(zip(names, pool([d["counts"] for d in self.datasets])))
 
     def primary_metric(self) -> float:
         """Dev-selection scalar: micro F1 for NER/RE, MRR for QA."""
-        names, _ = METRICS[self.task]
+        names, _, _ = METRICS[self.task]
         return self.micro[names[-1]]
 
     def to_json(self) -> str:
@@ -205,7 +213,7 @@ class EvalReport:
     def to_table(self) -> str:
         """Aligned text table, one dataset per row plus the micro row; each
         metric column is headed by its initial (P/R/F or S/L/M)."""
-        keys, _ = METRICS[self.task]
+        keys, _, _ = METRICS[self.task]
         headers = ["dataset"] + [k[0].upper() for k in keys]
         rows = [[d["name"]] + [f"{d['metrics'][k] * 100:.2f}" for k in keys]
                 for d in self.datasets]
@@ -226,14 +234,10 @@ def score(task: str, gold: list, pred: list, dataset_name: str = "eval",
     parallel: BIOES tag sequences for "ner" (entity P/R/F1), labels for "re"
     (P/R/F1 over the `positive` labels), and for "qa" gold answer strings
     against ranked answer lists (strict, lenient and MRR at `n_best`)."""
-    if task == "ner":
-        *values, counts = entity_prf([spans_from_tags(tags) for tags in gold],
-                                     [spans_from_tags(tags) for tags in pred])
-    elif task == "re":
-        *values, counts = classification_prf(gold, pred, positive)
-    else:
-        *values, counts = qa_metrics(pred, gold, n_best=n_best)
-    names, _ = METRICS[task]
+    if task not in METRICS:
+        raise ConfigError(f"unknown task {task!r}")
+    names, _, scorer = METRICS[task]
+    *values, counts = scorer(gold, pred, positive, n_best)
     report = EvalReport(task=task, provenance=provenance)
     report.add_dataset(dataset_name, dict(zip(names, values)), counts)
     return report

@@ -66,6 +66,20 @@ allow_nonstandard = true
     return cfg
 
 
+def _pretrained(tmp_path, fixture_dir, extra=""):
+    """The test config, the output root, and a checkpoint pretrained under it."""
+    cfg = _write_config(tmp_path, fixture_dir, extra)
+    out = tmp_path / "run"
+    assert run("pretrain", "--config", str(cfg), "--out", str(out)) == 0
+    return cfg, out, out / "pretrain" / "final.ckpt"
+
+
+def _phases(log_path):
+    """(phase, event or epoch) of each record of a fine-tuning log."""
+    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    return [(r["phase"], r.get("event", r.get("epoch"))) for r in records]
+
+
 def test_fixtures_command_writes_files(fixture_dir):
     for name in ("vocab.txt", "general_corpus.txt", "domain_corpus.txt",
                  "ner_train.conll", "re_train.tsv", "qa_train.json",
@@ -388,6 +402,25 @@ def test_malformed_list_setting_is_config_error(capsys, setting, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", ["negative,negative", "negative"])
+def test_bad_labels_setting_is_config_error(tmp_path, fixture_dir, capsys, labels):
+    cfg, out, init = _pretrained(tmp_path, fixture_dir)
+    capsys.readouterr()
+    assert run("finetune", "--config", str(cfg), "--out", str(out),
+               "--set", f"finetune.init={init}", "--set", "finetune.task=re",
+               "--set", f"finetune.train={fixture_dir}/re_train.tsv",
+               "--set", f"finetune.dev={fixture_dir}/re_dev.tsv",
+               "--set", f"finetune.labels={labels}") == 2
+    assert "[finetune] labels: label set needs >= 2 unique labels" in capsys.readouterr().err
+    gold = fixture_dir / "re_test.tsv"
+    for dry_run in ((), ("--dry-run",)):
+        assert run("evaluate", "--out", str(out), "--set", "evaluate.task=re",
+                   "--set", f"evaluate.gold={gold}", "--set", f"evaluate.pred={gold}",
+                   "--set", f"evaluate.labels={labels}", *dry_run) == 2
+        assert "[evaluate] labels: label set needs >= 2 unique labels" in capsys.readouterr().err
+    assert not (out / "finetune").exists() and not (out / "evaluate").exists()
+
+
 @pytest.mark.parametrize("shape, code", [("lists", 0), ("strings", 3), ("array", 3)])
 def test_evaluate_qa_prediction_file_shape(tmp_path, fixture_dir, shape, code):
     gold = fixture_dir / "qa_test.json"
@@ -528,6 +561,74 @@ def test_finetune_re_via_cli(tmp_path, fixture_dir):
     assert code == 0
     report = json.loads((out / "finetune" / "report.json").read_text())
     assert report["task"] == "re"
+
+
+def test_finetune_ner_trains_an_intermediate_phase(tmp_path, fixture_dir):
+    intermediate = tmp_path / "intermediate.conll"
+    intermediate.write_text((fixture_dir / "ner_test.conll").read_text() + "x S-ZZZ\n\n")
+    cfg, out, init = _pretrained(tmp_path, fixture_dir, f"intermediate = {intermediate}\n")
+    assert run("finetune", "--config", str(cfg), "--out", str(out),
+               "--set", f"finetune.init={init}") == 0
+    assert _phases(out / "finetune" / "log.jsonl") == [
+        ("init", 0), ("intermediate", "start"), ("intermediate", 1),
+        ("target", "start"), ("target", 1)]
+    # the tag scheme spans the entity types of the intermediate set too
+    best = load_checkpoint_file(out / "finetune" / "best.ckpt")
+    assert best.metadata["entity_types"] == "GENE ZZZ"
+
+
+def test_missing_intermediate_path_is_config_error(tmp_path, fixture_dir, capsys):
+    missing = tmp_path / "missing.conll"
+    cfg, out, init = _pretrained(tmp_path, fixture_dir, f"intermediate = {missing}\n")
+    assert run("finetune", "--config", str(cfg), "--out", str(out),
+               "--set", f"finetune.init={init}") == 2
+    assert f"[finetune] intermediate: path does not exist: {missing}" in capsys.readouterr().err
+    assert not (out / "finetune").exists()
+
+
+def _qa_finetune(fixture_dir, cfg, out, init, *extra):
+    return run("finetune", "--config", str(cfg), "--out", str(out),
+               "--set", f"finetune.init={init}", "--set", "finetune.task=qa",
+               "--set", f"finetune.train={fixture_dir}/qa_train.json",
+               "--set", f"finetune.dev={fixture_dir}/qa_dev.json", *extra)
+
+
+def test_finetune_qa_via_cli(tmp_path, fixture_dir):
+    cfg, out, init = _pretrained(tmp_path, fixture_dir)
+    assert _qa_finetune(fixture_dir, cfg, out, init) == 0
+    report = json.loads((out / "finetune" / "report.json").read_text())
+    assert report["task"] == "qa" and set(report["micro"]) == {"strict", "lenient", "mrr"}
+    assert _phases(out / "finetune" / "log.jsonl") == [
+        ("init", 0), ("target", "start"), ("target", 1)]
+
+
+def test_finetune_qa_with_a_converted_intermediate_set(tmp_path, fixture_dir):
+    converted = tmp_path / "bioasq_squad.json"
+    assert run("convert", "--from", "bioasq", "--to", "squad",
+               "--input", str(fixture_dir / "qa_bioasq.json"),
+               "--passages", str(fixture_dir / "qa_passages.json"),
+               "--output", str(converted)) == 0
+    cfg, out, init = _pretrained(tmp_path, fixture_dir)
+    assert _qa_finetune(fixture_dir, cfg, out, init,
+                        "--set", f"finetune.intermediate={converted}") == 0
+    assert _phases(out / "finetune" / "log.jsonl") == [
+        ("init", 0), ("intermediate", "start"), ("intermediate", 1),
+        ("target", "start"), ("target", 1)]
+
+
+def test_evaluate_qa_model_mode(tmp_path, fixture_dir):
+    cfg, out, init = _pretrained(tmp_path, fixture_dir)
+    assert _qa_finetune(fixture_dir, cfg, out, init) == 0
+    assert run("evaluate", "--config", str(cfg), "--out", str(out),
+               "--set", "evaluate.task=qa", "--set", "evaluate.dataset_name=qa_test",
+               "--set", f"evaluate.checkpoint={out / 'finetune' / 'best.ckpt'}",
+               "--set", f"evaluate.data={fixture_dir}/qa_test.json") == 0
+    report = json.loads((out / "evaluate" / "report.json").read_text())
+    assert report["task"] == "qa" and report["datasets"][0]["name"] == "qa_test"
+    micro = report["micro"]
+    assert 0.0 <= micro["strict"] <= micro["mrr"] <= micro["lenient"] <= 1.0
+    questions = report["counts"][0]["questions"]
+    assert questions == len(parse_qa_json(fixture_dir / "qa_test.json"))
 
 
 def test_evaluate_re_prediction_files(tmp_path, fixture_dir):

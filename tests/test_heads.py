@@ -358,6 +358,27 @@ def test_finetune_empty_train_is_input_error(ft_vocab, ft_init):
                  scheme=TagScheme(("D",)))
 
 
+def test_unknown_task_or_missing_label_space_is_config_error(ft_vocab, ft_init):
+    weights = ft_init.clone()
+    weights.tensors.update(init_head(weights.config, "ner", 5, seed=3))
+    data, config = _ner_fixture(2), _ft_config()
+    with pytest.raises(ConfigError, match="unknown task 'xyz'"):
+        heads.evaluate("xyz", weights, data, ft_vocab, config)
+    with pytest.raises(ConfigError, match="ner needs a TagScheme"):
+        heads.evaluate("ner", weights, data, ft_vocab, config)
+    labels = RelationLabelSet(("negative", "positive"))
+    with pytest.raises(ConfigError, match="ner needs a TagScheme"):
+        heads.evaluate("ner", weights, data, ft_vocab, config, labels=labels)
+    with pytest.raises(ConfigError, match="re needs a RelationLabelSet"):
+        finetune("re", data, data, ft_init, config, ft_vocab, scheme=TagScheme(("D",)))
+    with pytest.raises(ConfigError, match="unknown task 'xyz'"):
+        finetune("xyz", data, data, ft_init, config, ft_vocab)
+    # either keyword carries the label space of the task's kind
+    by_scheme = heads.evaluate("ner", weights, data, ft_vocab, config, scheme=TagScheme(("D",)))
+    by_labels = heads.evaluate("ner", weights, data, ft_vocab, config, labels=TagScheme(("D",)))
+    assert by_scheme.to_json() == by_labels.to_json()
+
+
 def test_finetune_grid_validation():
     with pytest.raises(ConfigError):
         FinetuneConfig(batch_size=7).validate()
@@ -418,24 +439,16 @@ def test_train_step_head_gradients_match_finite_differences(ft_vocab, task):
     cfg = EncoderConfig(vocab_size=len(ft_vocab), hidden=8, layers=1, heads=2, ff_dim=16,
                         max_positions=12, dropout=0.0, init_std=0.5, seed=5)
     store = init_weights(cfg)
-    if task == "ner":
-        scheme = TagScheme(("D",))
-        sentences = _ner_fixture(3)
-        encodings = [encode_sequence(" ".join(s.words), None, ft_vocab, 8) for s in sentences]
-        targets = [align_labels(s, e, scheme) for s, e in zip(sentences, encodings)]
-        out_dim = len(scheme)
-    elif task == "re":
-        encodings = [encode_sequence(text, None, ft_vocab, 8)
-                     for text in ("ab aa bb", "abc cc", "aa ab dd bb")]
-        targets = [1, 0, 1]
-        out_dim = 2
-    else:
-        config = _ft_config(max_len=12)
-        encodings, targets = zip(*heads._prepare_qa_training(_qa_fixture(3), ft_vocab, config))
-        out_dim = 2
-    store.tensors.update(init_head(cfg, task, out_dim, seed=9))
+    relations = [RelationExample(f"r{i}", text, label) for i, (text, label) in enumerate(
+        [("ab aa bb", "positive"), ("abc cc", "negative"), ("aa ab dd bb", "positive")])]
+    data, space, max_len = {"ner": (_ner_fixture(3), TagScheme(("D",)), 8),
+                            "re": (relations, RelationLabelSet(("negative", "positive")), 8),
+                            "qa": (_qa_fixture(3), None, 12)}[task]
+    spec = heads.TASKS[task]
+    encodings, targets = zip(*spec.prepare(data, ft_vocab, _ft_config(max_len=max_len), space))
+    store.tensors.update(init_head(cfg, task, spec.width(space), seed=9))
     weights = store.astype(np.float64)
-    head = heads._task_head(weights, task, encodings, targets)
+    head = spec.head(weights, task, encodings, targets)
     _, grads = train_step(weights, encodings, head, train=False)
     assert set(grads) == set(weights.tensors)
     arrays = batch_arrays(encodings)

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from adaptlm.errors import InputError
+from adaptlm.errors import ConfigError, InputError
 from adaptlm.metrics import (EntitySpan, EvalReport, classification_prf, entity_prf,
                              micro_average, normalize_answer, pool_qa_tallies, qa_metrics,
-                             spans_from_tags)
+                             score, spans_from_tags)
 from adaptlm.tags import bio_to_bioes, is_valid_bioes, repair_bioes
 
 
@@ -237,3 +237,8 @@ def test_bioes_conversion_preserves_spans(rng):
         bio = bioes_to_bio(bioes)
         assert bio_to_bioes(bio) == bioes
         assert spans_from_tags(bioes) == spans_from_tags(bio_to_bioes(bio))
+
+
+def test_score_of_an_unknown_task_is_config_error():
+    with pytest.raises(ConfigError, match="unknown task 'xyz'"):
+        score("xyz", [["a"]], [["a"]])
