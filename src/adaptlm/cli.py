@@ -7,6 +7,10 @@ Every subcommand is config-driven (--config, overridable with repeated
 config and seed produce byte-identical checkpoints, reports and CSVs
 (the step log carries wall-clock times and is exempt).
 
+Every command reads its inputs in one order: all its settings, then the
+existence of every path it will read (where --dry-run stops), then datasets,
+then checkpoints, each file once.
+
 Exit codes: 0 success, 2 configuration error (including an OSError on a
 configured path), 3 data-format error, 4 compute error.
 """
@@ -45,16 +49,19 @@ def _say(msg: str) -> None:
     print(msg)
 
 
-# ---------------------------------------------------------------------------
-# shared loaders
-# ---------------------------------------------------------------------------
-
-def _load_vocab(cfg):
-    return load_vocabulary_file(Section(cfg, "global").path("vocab"))
-
-
 def _fingerprint(cfg) -> str:
     return config_fingerprint(json.dumps(cfg, sort_keys=True))
+
+
+def _task_data(spec, section, keys, checkpoint=None):
+    """A task's inputs, datasets before weights: the dataset at each [section]
+    key, read by the task's reader (an unset key holds no data); the weights
+    at [section] `checkpoint`, when one is named; and the label space of the
+    section, the datasets and the metadata of those weights."""
+    datasets = [spec.read(section, key) if section.has(key) else [] for key in keys]
+    weights = load_checkpoint_file(section.path(checkpoint)) if checkpoint else None
+    space = spec.label_space(section, datasets, weights.metadata if weights else {})
+    return datasets, weights, space
 
 
 # ---------------------------------------------------------------------------
@@ -65,89 +72,84 @@ def cmd_pretrain(args, cfg) -> int:
     section = Section(cfg, "pretrain")
     seed = resolve_seed(args.seed, cfg)
     out = resolve_out(args.out, cfg) / "pretrain"
-    vocab = _load_vocab(cfg)
-    corpus_path = section.path("corpus")
-
-    init = encoder = None
-    mode = "from-scratch"
-    if section.has("init"):
-        init = load_checkpoint_file(section.path("init"))
-        mode = "continued"
-    else:
-        encoder = section.load(EncoderConfig, vocab_size=len(vocab), seed=seed)
+    vocab = load_vocabulary_file(Section(cfg, "global").path("vocab"))
+    mode = "continued" if section.has("init") else "from-scratch"
+    encoder = None if section.has("init") else section.load(
+        EncoderConfig, vocab_size=len(vocab), seed=seed)
     pcfg = section.load(PretrainConfig, seed=seed, encoder=encoder,
                         masking=section.load(MaskingPolicy, seed=seed))
+    corpus_path = section.path("corpus")
+    init_path = section.path("init") if section.has("init") else None
 
     if args.dry_run:
         _say(f"pretrain plan: mode={mode} {asdict(pcfg)}")
         _say(f"would write: {out}/final.ckpt, {out}/metrics.jsonl")
         return 0
 
+    corpus = open_text(corpus_path)
+    init = load_checkpoint_file(init_path) if init_path else None
     out.mkdir(parents=True, exist_ok=True)
     _say(f"pretraining ({mode}) on {corpus_path} for {pcfg.steps} steps, seed {seed}")
     # line-buffered, so a killed run leaves every finished step's line
     with open(out / "metrics.jsonl", "w", encoding="utf-8", newline="\n", buffering=1) as log:
-        weights, records = train_mlm(corpus_path, pcfg, vocab, init,
-                                     out_dir=out, log_sink=log)
+        weights, records = train_mlm(corpus, pcfg, vocab, init, out_dir=out, log_sink=log)
     _say(f"final loss {records[-1]['loss']:.4f}, accuracy {records[-1]['accuracy']:.4f}")
     _say(f"wrote {out}/final.ckpt")
     return 0
 
 
-def _finetune_once(task, cfg, seed, init_path, out_dir, provenance):
-    section = Section(cfg, "finetune")
-    vocab = _load_vocab(cfg)
-    fcfg = section.load(FinetuneConfig, seed=seed)
-    init = load_checkpoint_file(init_path)
-    spec = TASKS[task]
-    train, dev = (spec.read(section, key) for key in ("train", "dev"))
-    intermediate = spec.read(section, "intermediate") if section.has("intermediate") else []
-    space = spec.label_space(section, [train, dev, intermediate], {})
-    result = finetune(task, train, dev, init, fcfg, vocab, labels=space,
-                      intermediate=intermediate, provenance=provenance)
-    result.report.config_fingerprint = _fingerprint(cfg)
-    save_checkpoint_file(result.weights, out_dir / "best.ckpt")
-    with atomic_write(out_dir / "report.json") as f:
-        f.write(result.report.to_json() + "\n")
-    with atomic_write(out_dir / "log.jsonl") as f:
-        for record in result.log:
-            f.write(json.dumps(record) + "\n")
-    return result
-
-
 def cmd_finetune(args, cfg) -> int:
     section = Section(cfg, "finetune")
     task = section.choice("task", TASKS)
+    spec = TASKS[task]
     seed = resolve_seed(args.seed, cfg)
     out = resolve_out(args.out, cfg) / "finetune"
     provenance = section.str("provenance", "unspecified")
+    spec.label_space(section, [], {})  # what the section alone sets: RE's labels
+    cells = [(out, cfg)]  # (output directory, config) of each run, all from one init
+    if args.grid:
+        cells = [(out / f"grid_b{b}_lr{lr:g}", apply_overrides(
+                      cfg, [f"finetune.batch_size={b}", f"finetune.learning_rate={lr}"]))
+                 for b in section.list_of("grid_batch_sizes", int, GRID_BATCH_SIZES)
+                 for lr in section.list_of("grid_learning_rates", float, GRID_LEARNING_RATES)]
+    cells = [(cell_out, cell_cfg, Section(cell_cfg, "finetune").load(FinetuneConfig, seed=seed))
+             for cell_out, cell_cfg in cells]
+    vocab_path = Section(cfg, "global").path("vocab")
+    for key in ("train", "dev", "intermediate"):
+        if key != "intermediate" or section.has(key):
+            section.path(key)
     init_path = section.path("init")
 
     if args.dry_run:
-        fcfg = section.load(FinetuneConfig, seed=seed)
-        _say(f"finetune plan: task={task} init={init_path} {asdict(fcfg)}")
-        _say(f"would write: {out}/best.ckpt, {out}/report.json, {out}/log.jsonl")
+        for cell_out, _, fcfg in cells:
+            _say(f"finetune plan: task={task} init={init_path} {asdict(fcfg)}")
+            _say(f"would write: {cell_out}/best.ckpt, {cell_out}/report.json, "
+                 f"{cell_out}/log.jsonl")
         return 0
 
-    if not args.grid:
-        result = _finetune_once(task, cfg, seed, init_path, out, provenance)
-        _say(result.report.to_table())
-        _say(f"dev metric {result.report.primary_metric():.4f}; wrote {out}/report.json")
-        return 0
-
-    batches = section.list_of("grid_batch_sizes", int, GRID_BATCH_SIZES)
-    rates = section.list_of("grid_learning_rates", float, GRID_LEARNING_RATES)
+    vocab = load_vocabulary_file(vocab_path)
+    (train, dev, intermediate), _, space = _task_data(
+        spec, section, ("train", "dev", "intermediate"))
+    init = load_checkpoint_file(init_path)
     best = None
-    for b in batches:
-        for lr in rates:
-            cell_cfg = apply_overrides(cfg, [f"finetune.batch_size={b}",
-                                             f"finetune.learning_rate={lr}"])
-            cell_out = out / f"grid_b{b}_lr{lr:g}"
-            result = _finetune_once(task, cell_cfg, seed, init_path, cell_out, provenance)
-            metric = result.report.primary_metric()
-            _say(f"cell batch={b} lr={lr:g}: dev metric {metric:.4f}")
-            if best is None or metric > best[0]:
-                best = (metric, b, lr)
+    for cell_out, cell_cfg, fcfg in cells:
+        result = finetune(task, train, dev, init, fcfg, vocab, labels=space,
+                          intermediate=intermediate, provenance=provenance)
+        result.report.config_fingerprint = _fingerprint(cell_cfg)
+        save_checkpoint_file(result.weights, cell_out / "best.ckpt")
+        with atomic_write(cell_out / "report.json") as f:
+            f.write(result.report.to_json() + "\n")
+        with atomic_write(cell_out / "log.jsonl") as f:
+            for record in result.log:
+                f.write(json.dumps(record) + "\n")
+        metric = result.report.primary_metric()
+        if not args.grid:
+            _say(result.report.to_table())
+            _say(f"dev metric {metric:.4f}; wrote {out}/report.json")
+            return 0
+        _say(f"cell batch={fcfg.batch_size} lr={fcfg.learning_rate:g}: dev metric {metric:.4f}")
+        if best is None or metric > best[0]:
+            best = (metric, fcfg.batch_size, fcfg.learning_rate)
     summary = {"best_metric": best[0], "batch_size": best[1], "learning_rate": best[2]}
     write_json(summary, out / "grid_summary.json", indent=2, sort_keys=False)
     _say(f"best cell: batch={best[1]} lr={best[2]:g} metric={best[0]:.4f}")
@@ -157,32 +159,33 @@ def cmd_finetune(args, cfg) -> int:
 def cmd_evaluate(args, cfg) -> int:
     section = Section(cfg, "evaluate")
     task = section.choice("task", TASKS)
+    spec = TASKS[task]
     seed = resolve_seed(args.seed, cfg)
     out = resolve_out(args.out, cfg) / "evaluate"
     provenance = section.str("provenance", "unspecified")
-    spec = TASKS[task]
-    labels = spec.label_space(section, [], {})  # what the section alone sets: RE's labels
+    name = section.str("dataset_name", "eval")
+    spec.label_space(section, [], {})  # what the section alone sets: RE's labels
+    fcfg = Section(cfg, "finetune").load(FinetuneConfig, seed=seed)
+    files = section.has("pred")
+    vocab_path = None if files else Section(cfg, "global").path("vocab")
+    for key in ("gold", "pred") if files else ("checkpoint", "data"):
+        section.path(key)
 
     if args.dry_run:
-        mode = "predictions" if section.has("pred") else "model"
-        _say(f"evaluate plan: task={task} mode={mode}")
+        _say(f"evaluate plan: task={task} mode={'predictions' if files else 'model'}")
         _say(f"would write: {out}/report.json")
         return 0
 
-    fcfg = Section(cfg, "finetune").load(FinetuneConfig, seed=seed)
-    name = section.str("dataset_name", "eval")
-    if section.has("pred"):
-        gold, pred = spec.pairs(section.path("gold"), section.path("pred"), section)
-        report = score(task, gold, pred, name, provenance, n_best=fcfg.n_best,
-                       positive=getattr(labels, "positive", ()))
+    if files:
+        (data,), _, space = _task_data(spec, section, ["gold"])
+        pred = spec.pairs(section, data)
     else:
-        vocab = _load_vocab(cfg)
-        weights = load_checkpoint_file(section.path("checkpoint"))
+        vocab = load_vocabulary_file(vocab_path)
+        (data,), weights, space = _task_data(spec, section, ["data"], "checkpoint")
         weights.check_compatible(vocab, fcfg.max_len)
-        data = spec.read(section, "data")
-        space = spec.label_space(section, [data], weights.metadata)
-        report = evaluate(task, weights, data, vocab, fcfg, labels=space,
-                          dataset_name=name, provenance=provenance)
+        pred = spec.predict(weights, data, vocab, space, fcfg)
+    report = score(task, spec.gold(data), pred, name, provenance, n_best=fcfg.n_best,
+                   positive=getattr(space, "positive", frozenset()))
     report.config_fingerprint = _fingerprint(cfg)
     with atomic_write(out / "report.json") as f:
         f.write(report.to_json() + "\n")
@@ -253,15 +256,27 @@ def cmd_corpus_stats(args, cfg) -> int:
 
 
 def cmd_sweep(args, cfg) -> int:
+    """NER test F1 per (axis value, seed) cell, fine-tuned from continued
+    pretraining on a corpus fraction or from a saved step checkpoint."""
     section = Section(cfg, "sweep")
     axis = section.choice("axis", ("fraction", "checkpoint"))
     seeds = section.list_of("seeds", int, (0, 1, 2))
+    if min(seeds) < 0:
+        raise ConfigError(f"[sweep] seeds must be >= 0, got {min(seeds)}")
     out = resolve_out(args.out, cfg) / "sweep"
     dataset_name = section.str("dataset_name", "ner_test")
-
+    fin_section = Section(cfg, "finetune")
+    fcfgs = [fin_section.load(FinetuneConfig, seed=seed) for seed in seeds]
+    pcfgs = [None] * len(seeds)  # the checkpoint axis pretrains nothing
     if axis == "fraction":
         values = section.list_of("fractions", float, (0.25, 0.5, 1.0))
+        if not all(0.0 < v <= 1.0 for v in values):
+            raise ConfigError(f"[sweep] fractions must lie in (0, 1], got {values}")
         sources = [None] * len(values)
+        pre = Section(cfg, "pretrain")
+        pcfgs = [pre.load(PretrainConfig, seed=seed, masking=pre.load(MaskingPolicy, seed=seed))
+                 for seed in seeds]
+        init_path, corpus_path = section.path("init"), pre.path("corpus")
     else:
         ckpt_dir = section.path("checkpoints")
         found = []
@@ -272,8 +287,10 @@ def cmd_sweep(args, cfg) -> int:
             found.append((int(digits), p))
         if not found:
             raise ConfigError(f"no step_*.ckpt files under {ckpt_dir}")
-        found.sort()
-        values, sources = [v for v, _ in found], [p for _, p in found]
+        values, sources = map(list, zip(*sorted(found)))
+    vocab_path = Section(cfg, "global").path("vocab")
+    for key in ("train", "dev", "test"):
+        fin_section.path(key)
 
     if args.dry_run:
         _say(f"sweep plan: axis={axis} values={values} seeds={seeds} "
@@ -281,21 +298,18 @@ def cmd_sweep(args, cfg) -> int:
         _say(f"would write: {out}/sweep_rows.csv, {out}/sweep_summary.csv")
         return 0
 
-    vocab = _load_vocab(cfg)
-    fin_section = Section(cfg, "finetune")
-    ner = TASKS["ner"]
-    train, dev, test = (ner.read(fin_section, key) for key in ("train", "dev", "test"))
-    scheme = ner.label_space(fin_section, [train, dev, test], {})
-
+    vocab = load_vocabulary_file(vocab_path)
+    (train, dev, test), _, scheme = _task_data(TASKS["ner"], fin_section, ("train", "dev", "test"))
+    if axis == "fraction":
+        docs = read_corpus(corpus_path)
+        init = load_checkpoint_file(init_path)
     rows = []
     for value, source in zip(values, sources):
-        for seed in seeds:
-            if source is None:
-                init_store = _sweep_fraction_pretrain(cfg, vocab, value, seed, out)
-            else:
-                init_store = load_checkpoint_file(source)
-            fcfg = fin_section.load(FinetuneConfig, seed=seed)
-            result = finetune("ner", train, dev, init_store, fcfg, vocab, scheme=scheme,
+        if source is not None:
+            init = load_checkpoint_file(source)
+        for seed, fcfg, pcfg in zip(seeds, fcfgs, pcfgs):
+            start = init if pcfg is None else _pretrain_on_fraction(init, docs, value, pcfg, vocab)
+            result = finetune("ner", train, dev, start, fcfg, vocab, scheme=scheme,
                               provenance=f"sweep axis={axis} value={value} seed={seed}")
             micro = evaluate("ner", result.weights, test, vocab, fcfg, scheme=scheme,
                              dataset_name=dataset_name).micro
@@ -318,19 +332,13 @@ def cmd_sweep(args, cfg) -> int:
     return 0
 
 
-def _sweep_fraction_pretrain(cfg, vocab, fraction, seed, out):
-    """Continued pretraining on a deterministic corpus subsample."""
-    section = Section(cfg, "pretrain")
-    sweep_section = Section(cfg, "sweep")
-    init = load_checkpoint_file(sweep_section.path("init"))
-    docs = read_corpus(section.path("corpus"))
-    sub_seed = int(seed_stream(seed, "sweep.subsample").integers(0, 2**31 - 1))
+def _pretrain_on_fraction(init, docs, fraction, pcfg, vocab):
+    """Continued pretraining from `init` on a deterministic subsample of the
+    corpus documents, keyed by the run's seed."""
+    sub_seed = int(seed_stream(pcfg.seed, "sweep.subsample").integers(0, 2**31 - 1))
     docs = subsample_documents(docs, fraction, sub_seed)
     stream = io.StringIO("\n\n".join("\n".join(doc) for doc in docs) + "\n")
-    pcfg = section.load(PretrainConfig, seed=seed,
-                        masking=section.load(MaskingPolicy, seed=seed))
-    weights, _ = train_mlm(stream, pcfg, vocab, init)
-    return weights
+    return train_mlm(stream, pcfg, vocab, init)[0]
 
 
 def cmd_fixtures(args, cfg) -> int:

@@ -175,6 +175,8 @@ def resolve_out(flag_value: str | None, cfg: dict) -> Path:
 
 
 def resolve_seed(flag_value: int | None, cfg: dict) -> int:
-    if flag_value is not None:
-        return flag_value
-    return Section(cfg, "global").int("seed", 0)
+    """--seed flag, else [global] seed, else 0; a negative seed is a config error."""
+    seed = Section(cfg, "global").int("seed", 0) if flag_value is None else flag_value
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .data import (LabeledSentence, QAExample, RelationExample, RelationLabelSet, load_json,
-                   load_ner_dataset, parse_qa_json, parse_re_tsv)
+                   load_ner_dataset, normalized_occurrences, parse_qa_json, parse_re_tsv)
 from .encoder import (HEAD_PREFIX, IGNORE_LABEL, WeightStore, affine_xent,
                       expected_shapes, forward_arrays, init_head, train_step)
 from .errors import ConfigError, FormatError, InputError, NoAnswerError
@@ -177,14 +177,10 @@ def extract_span(start_logits: np.ndarray, end_logits: np.ndarray,
 
 
 def filter_unanswerable(examples: list[QAExample]):
-    """Keep examples whose normalized gold answer occurs in the normalized
-    passage; returns (kept, dropped_count)."""
-    kept = []
-    for ex in examples:
-        golds = ex.gold_answers or tuple(t for t, _ in ex.answers)
-        passage_norm = " ".join(ex.passage.casefold().split())
-        if any(normalize_answer(g) and normalize_answer(g) in passage_norm for g in golds):
-            kept.append(ex)
+    """Keep examples with a gold answer that normalized_occurrences finds in
+    the passage, as BioASQ conversion does; returns (kept, dropped_count)."""
+    kept = [ex for ex in examples
+            if any(normalized_occurrences(ex.passage, g) for g in ex.gold_answers)]
     return kept, len(examples) - len(kept)
 
 
@@ -351,31 +347,22 @@ def _tag_scheme(datasets, metadata) -> TagScheme:
     return TagScheme(tuple(sorted(types - {None})) or ("ENT",))
 
 
-def _paired(gold_path, pred_path, read_gold, read_pred=None) -> tuple[list, list]:
-    """Parallel gold and predicted values from files of (id, value) rows,
-    which read_gold and read_pred (default read_gold) take from a path; an
-    id repeated in a file, or in only one of them, is a data error."""
-    gold, pred = {}, {}
-    for path, read, values in ((gold_path, read_gold, gold),
-                               (pred_path, read_pred or read_gold, pred)):
-        for key, value in read(path):
+def _paired(section, gold, pred_rows) -> list:
+    """The values of the (id, value) rows read from the [section] pred file,
+    in the order of the gold examples' ids; an id repeated in a file, or in
+    only one of them, is a data error."""
+    paths = section.path("gold"), section.path("pred")
+    ids, pred = {}, {}
+    for path, rows, values in zip(paths, ([(ex.id, ex) for ex in gold], pred_rows), (ids, pred)):
+        for key, value in rows:
             if key in values:
                 raise InputError(f"{path}: id {key!r} is repeated")
             values[key] = value
-    unpaired = sorted(gold.keys() ^ pred.keys())
+    unpaired = sorted(ids.keys() ^ pred.keys())
     if unpaired:
-        where, other = (gold_path, pred_path) if unpaired[0] in gold else (pred_path, gold_path)
+        where, other = paths if unpaired[0] in ids else paths[::-1]
         raise InputError(f"id {unpaired[0]!r} is in {where} but not in {other}")
-    return list(gold.values()), [pred[key] for key in gold]
-
-
-def _ner_pairs(gold_path, pred_path, section) -> tuple[list, list]:
-    """Tag sequences of a gold and a predicted CoNLL file, paired in file
-    order; the predictions are repaired unless [section] lenient is off."""
-    scheme = section.str("scheme", "bioes")
-    gold = load_ner_dataset(gold_path, scheme=scheme)
-    pred = load_ner_dataset(pred_path, scheme=scheme, lenient=section.bool("lenient", True))
-    return [s.tags for s in gold], [s.tags for s in pred]
+    return [pred[key] for key in ids]
 
 
 def _qa_predictions(path) -> list:
@@ -401,7 +388,7 @@ class Task(NamedTuple):
     head: Callable  # (weights, task, encodings, targets) -> head(hidden) for train_step
     predict: Callable  # (weights, dataset, vocab, space, FinetuneConfig) -> predictions
     gold: Callable  # dataset -> gold values, parallel to the predictions
-    pairs: Callable  # (gold path, pred path, section) -> parallel gold and predictions
+    pairs: Callable  # (section, gold dataset) -> the [section] pred file's predictions, paired
     space: type = object  # the label space's kind; object for a task without one
     label_space: Callable = lambda section, datasets, metadata: None
     metadata: Callable = lambda space: {}  # the checkpoint metadata recording the space
@@ -419,7 +406,8 @@ TASKS = {
         predict=lambda w, data, vocab, scheme, config: predict_ner(
             w, data, vocab, scheme, config.max_len),
         gold=lambda sentences: [s.tags for s in sentences],
-        pairs=_ner_pairs),
+        pairs=lambda section, gold: [s.tags for s in load_ner_dataset(  # in file order
+            section.path("pred"), scheme=section.str("scheme", "bioes"), lenient=True)]),
     "re": Task(
         space=RelationLabelSet,
         read=lambda section, key: parse_re_tsv(section.path(key), _relation_labels(section)),
@@ -428,15 +416,15 @@ TASKS = {
         predict=lambda w, data, vocab, labels, config: predict_re(
             w, data, vocab, labels, config.max_len),
         gold=lambda examples: [ex.label for ex in examples],
-        pairs=lambda gold, pred, section: _paired(gold, pred, lambda path: [
-            (ex.id, ex.label) for ex in parse_re_tsv(path, _relation_labels(section))])),
+        pairs=lambda section, gold: _paired(section, gold, [
+            (ex.id, ex.label) for ex in TASKS["re"].read(section, "pred")])),
     "qa": Task(
         read=lambda section, key: parse_qa_json(section.path(key)),
         width=lambda _: 2, prepare=_prepare_qa, head=partial(_task_head, span=True),
         predict=lambda w, data, vocab, _, config: predict_qa(w, data, vocab, config),
         gold=lambda examples: [ex.gold_answers for ex in examples],
-        pairs=lambda gold, pred, section: _paired(gold, pred, lambda path: [
-            (ex.id, ex.gold_answers) for ex in parse_qa_json(path)], _qa_predictions)),
+        pairs=lambda section, gold: _paired(section, gold,
+                                            _qa_predictions(section.path("pred")))),
 }
 
 

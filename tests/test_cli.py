@@ -396,6 +396,9 @@ def test_malformed_config_is_config_error(tmp_path, capsys, text):
     ("sweep.fractions=0.5,x", "[sweep] fractions = 'x' is not a number"),
     ("sweep.fractions=0.5,nan", "[sweep] fractions = 'nan' is not finite"),
     ("sweep.seeds=,", "[sweep] seeds lists nothing"),
+    ("sweep.seeds=0,-1", "[sweep] seeds must be >= 0, got -1"),
+    ("sweep.fractions=0", "[sweep] fractions must lie in (0, 1], got [0.0]"),
+    ("sweep.fractions=0.5,1.5", "[sweep] fractions must lie in (0, 1], got [0.5, 1.5]"),
 ])
 def test_malformed_list_setting_is_config_error(capsys, setting, message):
     assert run("sweep", "--set", "sweep.axis=fraction", "--set", setting, "--dry-run") == 2
@@ -717,25 +720,29 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("text, override, message", [
-    ("", "pretrain.hiden=9", "unknown key 'hiden' in [pretrain]"),
-    ("", "finetune.batchsize=7", "unknown key 'batchsize' in [finetune]"),
-    ("", "sweep.fractionz=0.1", "unknown key 'fractionz' in [sweep]"),
-    ("", "pretrain.seed=9", "unknown key 'seed' in [pretrain]"),
-    ("", "fixtures.seed=1", "unknown config section [fixtures]"),
-    ("[pretrain]\nhiden = 9\n", None, "unknown key 'hiden' in [pretrain]"),
-    ("[fixtures]\nseed = 1\n", None, "unknown config section [fixtures]"),
+@pytest.mark.parametrize("text, extra, message", [
+    ("", ("--set", "pretrain.hiden=9"), "unknown key 'hiden' in [pretrain]"),
+    ("", ("--set", "finetune.batchsize=7"), "unknown key 'batchsize' in [finetune]"),
+    ("", ("--set", "sweep.fractionz=0.1"), "unknown key 'fractionz' in [sweep]"),
+    ("", ("--set", "pretrain.seed=9"), "unknown key 'seed' in [pretrain]"),
+    ("", ("--set", "fixtures.seed=1"), "unknown config section [fixtures]"),
+    ("[pretrain]\nhiden = 9\n", (), "unknown key 'hiden' in [pretrain]"),
+    ("[fixtures]\nseed = 1\n", (), "unknown config section [fixtures]"),
+    ("", ("--set", "global.seed=-1"), "seed must be >= 0, got -1"),
+    ("", ("--seed", "-1"), "seed must be >= 0, got -1"),
+    ("[global]\nseed = -1\n", (), "seed must be >= 0, got -1"),
 ], ids=["set-hiden", "set-batchsize", "set-fractionz", "set-pretrain-seed", "set-fixtures",
-        "file-hiden", "file-fixtures"])
+        "file-hiden", "file-fixtures", "set-negative-seed", "flag-negative-seed",
+        "file-negative-seed"])
 def test_unknown_config_key_or_section_is_config_error(tmp_path, fixture_dir, capsys,
-                                                       text, override, message):
+                                                       text, extra, message):
     cfg = _write_config(tmp_path, fixture_dir)
     if text:
         cfg.write_text(text)
     argv = ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "dry"), "--dry-run"]
-    if override:
+    if extra:
         assert run(*argv) == 0  # the config alone is valid
-        argv += ["--set", override]
+        argv += extra
     capsys.readouterr()
     assert run(*argv) == 2
     assert message in capsys.readouterr().err
@@ -770,6 +777,109 @@ def test_dry_run_plans_print_the_resolved_config(tmp_path, fixture_dir, capsys):
     plan = capsys.readouterr().out
     for field in ("'max_len': 24", "'doc_stride': 16", "'n_best': 5", "'seed': 3"):
         assert field in plan, field
+
+
+# A dry run checks every setting and path the run would read: each of these
+# exits 2 with the message, and reads no dataset, corpus or checkpoint.
+_MISSING = "/nonexistent/input"
+_SWEEP = ("sweep", "--set", "sweep.axis=fraction", "--set", "sweep.init={fx}/vocab.txt")
+_MODEL = ("evaluate", "--set", "evaluate.task=ner", "--set", "evaluate.checkpoint={fx}/vocab.txt",
+          "--set", "evaluate.data={fx}/ner_test.conll")
+_FILES = ("evaluate", "--set", "evaluate.task=ner", "--set", "evaluate.gold={fx}/ner_test.conll",
+          "--set", "evaluate.pred={fx}/ner_test.conll")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("finetune", "--set", "finetune.init={fx}/vocab.txt", "--set", f"finetune.train={_MISSING}"),
+     f"[finetune] train: path does not exist: {_MISSING}"),
+    ((*_MODEL, "--set", f"evaluate.checkpoint={_MISSING}"),
+     f"[evaluate] checkpoint: path does not exist: {_MISSING}"),
+    ((*_MODEL, "--set", f"evaluate.data={_MISSING}"),
+     f"[evaluate] data: path does not exist: {_MISSING}"),
+    ((*_FILES, "--set", f"evaluate.gold={_MISSING}"),
+     f"[evaluate] gold: path does not exist: {_MISSING}"),
+    ((*_FILES, "--set", f"evaluate.pred={_MISSING}"),
+     f"[evaluate] pred: path does not exist: {_MISSING}"),
+    ((*_SWEEP, "--set", f"sweep.init={_MISSING}"),
+     f"[sweep] init: path does not exist: {_MISSING}"),
+    ((*_SWEEP, "--set", f"pretrain.corpus={_MISSING}"),
+     f"[pretrain] corpus: path does not exist: {_MISSING}"),
+    ((*_SWEEP, "--set", "pretrain.steps=0"), "steps must be >= 1"),
+    ((*_SWEEP, "--set", "finetune.epochs=-1"), "epochs must be >= 0"),
+    ((*_MODEL, "--set", "finetune.max_len=2"), "invalid task knobs"),
+], ids=["finetune-train", "evaluate-checkpoint", "evaluate-data", "evaluate-gold",
+        "evaluate-pred", "sweep-init", "sweep-corpus", "sweep-steps", "sweep-epochs",
+        "evaluate-max-len"])
+def test_dry_run_refuses_what_the_run_would_refuse(tmp_path, fixture_dir, capsys, argv, message):
+    cfg = _write_config(tmp_path, fixture_dir)
+    argv = [a.format(fx=fixture_dir) for a in argv]
+    common = ("--config", str(cfg), "--out", str(tmp_path / "run"), "--dry-run")
+    assert run(*argv[:1], *common, *argv[1:]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("pretrain", "pretrain.steps=0", "steps must be >= 1"),
+    ("finetune", "finetune.labels=negative", "[finetune] labels: label set needs >= 2"),
+], ids=["pretrain-steps", "finetune-labels"])
+def test_bad_setting_is_refused_before_a_checkpoint_is_read(tmp_path, fixture_dir, capsys,
+                                                            command, setting, message):
+    vocab = fixture_dir / "vocab.txt"  # not a checkpoint: reading it is a data error
+    cfg = _write_config(tmp_path, fixture_dir)
+    argv = (command, "--config", str(cfg), "--out", str(tmp_path / "run"),
+            "--set", f"pretrain.init={vocab}", "--set", f"finetune.init={vocab}",
+            "--set", "finetune.task=re", "--set", f"finetune.train={fixture_dir}/re_train.tsv",
+            "--set", f"finetune.dev={fixture_dir}/re_dev.tsv")
+    assert run(*argv) == 3
+    assert "bad magic" in capsys.readouterr().err
+    assert run(*argv, "--set", setting) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_lenient_repairs_the_gold_file_in_both_evaluate_modes(tmp_path, fixture_dir):
+    cfg, out, init = _pretrained(tmp_path, fixture_dir)
+    assert run("finetune", "--config", str(cfg), "--out", str(out),
+               "--set", f"finetune.init={init}") == 0
+    first, rest = (fixture_dir / "ner_test.conll").read_text().split("\n", 1)
+    gold = tmp_path / "gold.conll"
+    gold.write_text(f"{first.split()[0]} I-GENE\n{rest}")
+    modes = {"model": ("--set", f"evaluate.checkpoint={out / 'finetune' / 'best.ckpt'}",
+                       "--set", f"evaluate.data={gold}"),
+             "files": ("--set", f"evaluate.gold={gold}", "--set", f"evaluate.pred={gold}")}
+    for lenient, code in (((), 3), (("--set", "evaluate.lenient=true"), 0)):
+        for mode, argv in modes.items():
+            assert run("evaluate", "--config", str(cfg), "--out", str(out),
+                       "--set", "evaluate.task=ner", *argv, *lenient) == code, (mode, lenient)
+
+
+def test_each_checkpoint_is_read_once_per_command(tmp_path, fixture_dir, monkeypatch):
+    cfg, out, init = _pretrained(tmp_path, fixture_dir, """
+grid_batch_sizes = 4,8
+grid_learning_rates = 1e-3,5e-4
+[sweep]
+fractions = 0.5,1.0
+seeds = 0,1
+""")
+    reads = []
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return load_checkpoint_file(path)
+    monkeypatch.setattr("adaptlm.cli.load_checkpoint_file", counted)
+    runs = {
+        ("finetune", "--grid", "--set", f"finetune.init={init}"): ["final.ckpt"],
+        ("sweep", "--set", "sweep.axis=fraction", "--set", f"sweep.init={init}"): ["final.ckpt"],
+        ("sweep", "--set", "sweep.axis=checkpoint", "--set", f"sweep.checkpoints={init.parent}"):
+            ["step_000002.ckpt", "step_000004.ckpt"],
+    }
+    for (command, *argv), expected in runs.items():
+        reads.clear()
+        assert run(command, "--config", str(cfg), "--out", str(out), *argv) == 0
+        assert reads == expected, command
+    assert len(list((out / "finetune").glob("grid_b*"))) == 4
+    rows = (out / "sweep" / "sweep_rows.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 2
 
 
 @pytest.mark.parametrize("argv", [
