@@ -105,7 +105,7 @@ def cmd_finetune(args, cfg) -> int:
     seed = resolve_seed(args.seed, cfg)
     out = resolve_out(args.out, cfg) / "finetune"
     provenance = section.str("provenance", "unspecified")
-    spec.label_space(section, [], {})  # what the section alone sets: RE's labels
+    spec.label_space(section, [], {})  # what the section alone sets: RE labels, NER scheme
     cells = [(out, cfg)]  # (output directory, config) of each run, all from one init
     if args.grid:
         cells = [(out / f"grid_b{b}_lr{lr:g}", apply_overrides(
@@ -164,7 +164,7 @@ def cmd_evaluate(args, cfg) -> int:
     out = resolve_out(args.out, cfg) / "evaluate"
     provenance = section.str("provenance", "unspecified")
     name = section.str("dataset_name", "eval")
-    spec.label_space(section, [], {})  # what the section alone sets: RE's labels
+    spec.label_space(section, [], {})  # what the section alone sets: RE labels, NER scheme
     fcfg = Section(cfg, "finetune").load(FinetuneConfig, seed=seed)
     files = section.has("pred")
     vocab_path = None if files else Section(cfg, "global").path("vocab")
@@ -266,6 +266,7 @@ def cmd_sweep(args, cfg) -> int:
     out = resolve_out(args.out, cfg) / "sweep"
     dataset_name = section.str("dataset_name", "ner_test")
     fin_section = Section(cfg, "finetune")
+    TASKS["ner"].label_space(fin_section, [], {})  # the NER scheme setting
     fcfgs = [fin_section.load(FinetuneConfig, seed=seed) for seed in seeds]
     pcfgs = [None] * len(seeds)  # the checkpoint axis pretrains nothing
     if axis == "fraction":

@@ -98,8 +98,8 @@ class Section:
             raise ConfigError(f"[{self.name}] is missing required key {key!r}")
         return default
 
-    def choice(self, key: str, choices: tuple[str, ...]) -> str:
-        value = self.str(key)
+    def choice(self, key: str, choices: tuple[str, ...], default: str | None = None) -> str:
+        value = self.str(key, default)
         if value not in choices:
             raise ConfigError(f"[{self.name}] {key} must be one of {list(choices)}, "
                               f"got {value!r}")

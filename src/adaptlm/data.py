@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import FormatError, InputError
 from .metrics import normalize_answer
-from .tags import bio_to_bioes, check_bio, check_bioes, repair_bioes
+from .tags import bio_to_bioes, bioes_to_bio, check_bio, check_bioes, repair_bioes
 
 DOCSTART = "-DOCSTART-"
 
@@ -129,8 +129,9 @@ def parse_conll(stream, scheme: str = "bioes", lenient: bool = False,
     ends a sentence; -DOCSTART- lines are skipped).
 
     scheme "bioes" or "bio" selects the validity check. With lenient=True an
-    invalid sequence is repaired instead of rejected and warn(message) is
-    called when provided.
+    invalid sequence is repaired instead of rejected (a BIO one through
+    repair_bioes, so a stray I-X opens an entity as B-X) and warn(message)
+    is called when provided.
     """
     if isinstance(stream, (str, os.PathLike)):
         return parse_conll(open_text(stream), scheme, lenient, warn)
@@ -156,7 +157,7 @@ def parse_conll(stream, scheme: str = "bioes", lenient: bool = False,
                 raise FormatError(
                     f"invalid {scheme.upper()} sequence in sentence starting at line "
                     f"{sentence_start}: {e}") from None
-            fixed = repair_bioes(tags) if scheme == "bioes" else tags
+            fixed = repair_bioes(tags) if scheme == "bioes" else bioes_to_bio(repair_bioes(tags))
             if warn is not None:
                 warn(f"repaired sentence starting at line {sentence_start}: {e}")
         sentences.append(LabeledSentence(tuple(words), tuple(fixed)))

@@ -363,12 +363,15 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
 def affine_xent(hidden, labels, weight, bias):
     """Mean softmax cross-entropy of hidden @ weight + bias at the positions
     where the (B, L) labels are not IGNORE_LABEL, taken in row-major order.
+    Labels built at the encoding length are cut to hidden's width.
 
     Returns (loss, logits, d_hidden, d_weight, d_bias); loss is 0 when no
     position is labelled.
     """
     b, l, h = hidden.shape
-    flat_labels = labels.reshape(-1)
+    if (labels[:, l:] != IGNORE_LABEL).any():
+        raise ContractViolation(f"a label lies past column {l}, the batch's real width")
+    flat_labels = labels[:, :l].reshape(-1)
     sel = flat_labels != IGNORE_LABEL
     flat_hidden = hidden.reshape(b * l, h)
     rows = flat_hidden[sel]

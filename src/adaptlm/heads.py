@@ -23,7 +23,7 @@ from .data import (LabeledSentence, QAExample, RelationExample, RelationLabelSet
                    load_ner_dataset, normalized_occurrences, parse_qa_json, parse_re_tsv)
 from .encoder import (HEAD_PREFIX, IGNORE_LABEL, WeightStore, affine_xent,
                       expected_shapes, forward_arrays, init_head, train_step)
-from .errors import ConfigError, FormatError, InputError, NoAnswerError
+from .errors import ConfigError, ContractViolation, FormatError, InputError, NoAnswerError
 from .metrics import EvalReport, normalize_answer, score
 from .optimizer import AdamW, linear_schedule
 from .pretrain import seed_stream
@@ -201,7 +201,8 @@ def _task_head(weights: WeightStore, task: str, encodings, targets, span: bool =
     every position whose target is not IGNORE_LABEL: first subtokens for NER,
     position 0 for RE. A span head (QA) scores start and end positions with
     two softmaxes over each window's admissible positions, averaged over both
-    ends and the batch.
+    ends and the batch. Targets built at the encoding length are cut to the
+    width of the hidden states (see tokenizer.batch_arrays).
     """
     names = (f"{HEAD_PREFIX}{task}.weight", f"{HEAD_PREFIX}{task}.bias")
     w, bias = (weights.tensors[name] for name in names)
@@ -218,8 +219,11 @@ def _task_head(weights: WeightStore, task: str, encodings, targets, span: bool =
 
     def span_head(hidden):
         b, l, h = hidden.shape
+        if admissible[:, l:].any():
+            raise ContractViolation(f"an admissible position lies past column {l}, "
+                                    "the batch's real width")
         logits = hidden @ w + bias
-        mask = np.where(admissible, hidden.dtype.type(0), hidden.dtype.type(-1e9))
+        mask = np.where(admissible[:, :l], hidden.dtype.type(0), hidden.dtype.type(-1e9))
         loss = 0.0
         d_cols = []
         for col in (0, 1):  # start, end
@@ -279,7 +283,9 @@ def _prepare_qa(examples, vocab, config, _):
 
 def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head):
     """head(hidden) row by row for every encoding, in order, computed by
-    inference forwards of at most EVAL_BATCH_SIZE rows each."""
+    inference forwards of at most EVAL_BATCH_SIZE rows each. A row is as wide
+    as the longest real encoding of its forward, so it covers every real
+    position of its own."""
     for lo in range(0, len(encodings), EVAL_BATCH_SIZE):
         yield from head(forward_arrays(weights, *batch_arrays(encodings[lo:lo + EVAL_BATCH_SIZE])))
 
@@ -338,9 +344,16 @@ def _relation_labels(section) -> RelationLabelSet:
         raise ConfigError(f"[{section.name}] labels: {e}") from None
 
 
-def _tag_scheme(datasets, metadata) -> TagScheme:
+def _tag_format(section) -> str:
+    """The [section] scheme setting: how the CoNLL files it names write tags."""
+    return section.choice("scheme", ("bioes", "bio"), "bioes")
+
+
+def _tag_scheme(section, datasets, metadata) -> TagScheme:
     """The scheme a checkpoint's metadata records (the types joined by spaces,
-    which tags cannot hold), else one over the entity types of the datasets."""
+    which tags cannot hold), else one over the entity types of the datasets.
+    The section's scheme setting is checked first, even with no datasets."""
+    _tag_format(section)
     if "entity_types" in metadata:
         return TagScheme(tuple(metadata["entity_types"].split(" ")))
     types = {parse_tag(tag)[1] for sentences in datasets for s in sentences for tag in s.tags}
@@ -398,16 +411,16 @@ TASKS = {
     "ner": Task(
         space=TagScheme,
         read=lambda section, key: load_ner_dataset(
-            section.path(key), scheme=section.str("scheme", "bioes"),
+            section.path(key), scheme=_tag_format(section),
             lenient=section.bool("lenient", False)),
-        label_space=lambda section, datasets, metadata: _tag_scheme(datasets, metadata),
+        label_space=_tag_scheme,
         metadata=lambda scheme: {"entity_types": " ".join(scheme.entity_types)},
         width=len, prepare=_prepare_ner, head=_task_head,
         predict=lambda w, data, vocab, scheme, config: predict_ner(
             w, data, vocab, scheme, config.max_len),
         gold=lambda sentences: [s.tags for s in sentences],
         pairs=lambda section, gold: [s.tags for s in load_ner_dataset(  # in file order
-            section.path("pred"), scheme=section.str("scheme", "bioes"), lenient=True)]),
+            section.path("pred"), scheme=_tag_format(section), lenient=True)]),
     "re": Task(
         space=RelationLabelSet,
         read=lambda section, key: parse_re_tsv(section.path(key), _relation_labels(section)),

@@ -26,7 +26,8 @@ from .encoder import (IGNORE_LABEL, EncoderConfig, WeightStore, affine_xent,
                       expected_shapes, forward_arrays, init_weights, train_step)
 from .errors import ConfigError, InputError, TransferError
 from .optimizer import AdamW, linear_schedule
-from .tokenizer import EncodedInput, basic_tokenize, batch_arrays, encode_pieces, wordpiece_split
+from .tokenizer import (EncodedInput, basic_tokenize, batch_arrays, encode_pieces, stack_fields,
+                        wordpiece_split)
 from .vocab import Vocabulary
 
 REFERENCE_PRETRAIN_BATCH = 192
@@ -101,8 +102,8 @@ def apply_masking(batch: list[EncodedInput], policy: MaskingPolicy, vocab: Vocab
     policy.validate()
     if rng is None:
         rng = np.random.default_rng(policy.seed)
-    ids, _, mask = batch_arrays(batch)
-    word_index = np.stack([item.word_index for item in batch])
+    # at the encoding length, so the draws do not depend on the batch's real width
+    ids, mask, word_index = stack_fields(batch, ("ids", "mask", "word_index"))
     maskable = (mask == 1) & (word_index >= 0)
 
     selected = maskable & (rng.random(ids.shape) < policy.mask_fraction)

@@ -7,7 +7,10 @@ P* plus the ASCII symbols $+<=>^|~) always forms single-character words, so a
 string like "@GENE$" splits deterministically into "@", "GENE", "$".
 
 Every EncodedInput (single texts, text pairs, pretraining segments and QA
-windows) is laid out by _pack as [CLS] A [SEP] (B [SEP]) plus padding.
+windows) is laid out by _pack as [CLS] A [SEP] (B [SEP]) plus padding to the
+encoding's max_len. batch_arrays stacks a batch and cuts it after its last
+real column, so the encoder never computes on a column that is padding in
+every row.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ def wordpiece_split(word: str, vocab: Vocabulary) -> list[str]:
 @dataclass(frozen=True)
 class EncodedInput:
     """One packed (possibly paired) sequence, padded to a fixed length.
+    Per-position targets built from it keep that length; batch_arrays cuts
+    the batch to its real width.
 
     Parallel per-position fields:
       ids        vocabulary ids (int32)
@@ -254,14 +259,26 @@ def first_subtokens(encoded: EncodedInput):
     return words, real[first]
 
 
-def batch_arrays(batch: list[EncodedInput]):
-    """Stack a batch into (ids, segments, mask) int32 arrays of shape (B, L)."""
+def stack_fields(batch: list[EncodedInput], names) -> tuple[np.ndarray, ...]:
+    """The named per-position fields of a batch, each stacked into a (B, L)
+    array at the encoding length L."""
     if not batch:
         raise InputError("empty batch")
     lengths = {len(item) for item in batch}
     if len(lengths) != 1:
         raise InputError(f"batch items have mixed lengths {sorted(lengths)}")
-    ids = np.stack([item.ids for item in batch])
-    segments = np.stack([item.segments for item in batch])
-    mask = np.stack([item.mask for item in batch])
-    return ids, segments, mask
+    return tuple(np.stack([getattr(item, name) for item in batch]) for name in names)
+
+
+def batch_arrays(batch: list[EncodedInput]):
+    """Stack a batch into (ids, segments, mask) int32 arrays of shape (B, W).
+
+    W is one past the last column that is real in any row, so columns that
+    are padding in every row are cut; the encoding length when no position
+    is real. A per-position target built at the encoding length meets the
+    encoder's states at width W.
+    """
+    ids, segments, mask = stack_fields(batch, ("ids", "segments", "mask"))
+    real = np.flatnonzero(mask.any(axis=0))
+    width = int(real[-1]) + 1 if real.size else mask.shape[1]
+    return ids[:, :width], segments[:, :width], mask[:, :width]

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from adaptlm.checkpoint import load_checkpoint_file, save_checkpoint_file
 from adaptlm.cli import main
 from adaptlm.config import SECTIONS
-from adaptlm.data import atomic_write, parse_qa_json
+from adaptlm.data import LabeledSentence, atomic_write, parse_conll, parse_qa_json, write_conll
+from adaptlm.tags import bioes_to_bio
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MINI_VOCAB = str(SRC / "adaptlm" / "assets" / "vocab_cased_mini.txt")
@@ -807,9 +808,15 @@ _FILES = ("evaluate", "--set", "evaluate.task=ner", "--set", "evaluate.gold={fx}
     ((*_SWEEP, "--set", "pretrain.steps=0"), "steps must be >= 1"),
     ((*_SWEEP, "--set", "finetune.epochs=-1"), "epochs must be >= 0"),
     ((*_MODEL, "--set", "finetune.max_len=2"), "invalid task knobs"),
+    (("finetune", "--set", "finetune.init={fx}/vocab.txt", "--set", "finetune.scheme=bioez"),
+     "[finetune] scheme must be one of ['bioes', 'bio'], got 'bioez'"),
+    ((*_FILES, "--set", "evaluate.scheme=bioez"),
+     "[evaluate] scheme must be one of ['bioes', 'bio'], got 'bioez'"),
+    ((*_SWEEP, "--set", "finetune.scheme=BIO"),
+     "[finetune] scheme must be one of ['bioes', 'bio'], got 'BIO'"),
 ], ids=["finetune-train", "evaluate-checkpoint", "evaluate-data", "evaluate-gold",
         "evaluate-pred", "sweep-init", "sweep-corpus", "sweep-steps", "sweep-epochs",
-        "evaluate-max-len"])
+        "evaluate-max-len", "finetune-scheme", "evaluate-scheme", "sweep-scheme"])
 def test_dry_run_refuses_what_the_run_would_refuse(tmp_path, fixture_dir, capsys, argv, message):
     cfg = _write_config(tmp_path, fixture_dir)
     argv = [a.format(fx=fixture_dir) for a in argv]
@@ -851,6 +858,27 @@ def test_lenient_repairs_the_gold_file_in_both_evaluate_modes(tmp_path, fixture_
         for mode, argv in modes.items():
             assert run("evaluate", "--config", str(cfg), "--out", str(out),
                        "--set", "evaluate.task=ner", *argv, *lenient) == code, (mode, lenient)
+
+
+def test_bad_scheme_is_a_config_error_before_any_file_is_read(tmp_path, fixture_dir, capsys):
+    cfg = _write_config(tmp_path, fixture_dir)
+    argv = [a.format(fx=fixture_dir) for a in _FILES]
+    assert run(*argv[:1], "--config", str(cfg), "--out", str(tmp_path / "run"), *argv[1:],
+               "--set", "evaluate.scheme=bioez") == 2
+    assert "[evaluate] scheme must be one of" in capsys.readouterr().err
+
+
+def test_lenient_repairs_a_bio_prediction_file(tmp_path, fixture_dir):
+    sentences = parse_conll(fixture_dir / "ner_test.conll", scheme="bioes")
+    bio = [LabeledSentence(s.words, tuple(bioes_to_bio(list(s.tags)))) for s in sentences]
+    gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+    write_conll(bio, gold)
+    first = bio[0]
+    write_conll([LabeledSentence(first.words, ("I-GENE", *first.tags[1:])), *bio[1:]], pred)
+    cfg = _write_config(tmp_path, fixture_dir)
+    assert run("evaluate", "--config", str(cfg), "--out", str(tmp_path / "run"),
+               "--set", "evaluate.task=ner", "--set", "evaluate.scheme=bio",
+               "--set", f"evaluate.gold={gold}", "--set", f"evaluate.pred={pred}") == 0
 
 
 def test_each_checkpoint_is_read_once_per_command(tmp_path, fixture_dir, monkeypatch):

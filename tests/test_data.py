@@ -39,6 +39,16 @@ def test_parse_conll_lenient_repairs_and_warns():
     assert warnings
 
 
+def test_parse_conll_lenient_repairs_bio():
+    text = "a I-Gene\nb I-Gene\nc O\nd B-Gene\ne I-Gene\nf I-Drug\n\n"
+    with pytest.raises(FormatError, match="I-Gene does not continue"):
+        parse_conll(io.StringIO(text), scheme="bio")
+    sentences = parse_conll(io.StringIO(text), scheme="bio", lenient=True)
+    assert sentences[0].tags == ("B-Gene", "I-Gene", "O", "B-Gene", "I-Gene", "B-Drug")
+    assert load_ner_dataset(io.StringIO(text), scheme="bio", lenient=True)[0].tags == (
+        "B-Gene", "E-Gene", "O", "B-Gene", "E-Gene", "S-Drug")
+
+
 def test_parse_conll_short_line_names_line_number():
     with pytest.raises(FormatError, match="line 3"):
         parse_conll(io.StringIO("a O\nb O\nbad\n\n"), scheme="bio")

@@ -152,14 +152,18 @@ def test_forward_attention_matches_reference_per_row_and_head(toy_vocab):
 def test_forward_output_shapes(tiny_weights, toy_vocab):
     batch = [encode_sequence("a b c", None, toy_vocab, 10),
              encode_sequence("d e", None, toy_vocab, 10)]
-    assert forward_arrays(tiny_weights, *batch_arrays(batch)).shape == (2, 10, 8)
+    # the batch is cut after its longest real row, [CLS] a b c [SEP]
+    assert forward_arrays(tiny_weights, *batch_arrays(batch)).shape == (2, 5, 8)
 
 
 def test_forward_padding_does_not_leak(tiny_weights, toy_vocab):
     short = encode_sequence("a b c", None, toy_vocab, 6)
     long = encode_sequence("a b c", None, toy_vocab, 12)
-    out_short = forward_arrays(tiny_weights, *batch_arrays([short]))
-    out_long = forward_arrays(tiny_weights, *batch_arrays([long]))
+    # the encodings as padded, not cut to their real width by batch_arrays
+    out_short = forward_arrays(tiny_weights, short.ids[None], short.segments[None],
+                               short.mask[None])
+    out_long = forward_arrays(tiny_weights, long.ids[None], long.segments[None],
+                              long.mask[None])
     np.testing.assert_allclose(out_short[0, :5], out_long[0, :5],
                                atol=1e-5)
 

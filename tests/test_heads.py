@@ -507,16 +507,21 @@ def test_predict_qa_batches_windows_across_examples(ft_vocab, ft_init, monkeypat
     predicted = predict_qa(weights, examples, ft_vocab, config)
     monkeypatch.undo()
 
-    assert [h.shape[0] for h in batched] == [heads.EVAL_BATCH_SIZE,
-                                            sum(counts) - heads.EVAL_BATCH_SIZE]
-    batched_rows = iter(head_logits(np.concatenate(batched), weights, "qa", 2))
+    # two forwards, each as wide as the longest real window it holds
+    flat = [w for ex_windows in windows for w in ex_windows]
+    chunks = [flat[:heads.EVAL_BATCH_SIZE], flat[heads.EVAL_BATCH_SIZE:]]
+    assert [h.shape[:2] for h in batched] == [
+        (len(chunk), max(w.real_length for w in chunk)) for chunk in chunks]
+    batched_rows = (row for hidden in batched for row in head_logits(hidden, weights, "qa", 2))
     expected = []
     for ex_windows in windows:
         candidates = []
         for window in ex_windows:
             alone = forward_arrays(weights, *batch_arrays([window]))
             logits = head_logits(alone, weights, "qa", 2)[0]
-            np.testing.assert_allclose(next(batched_rows), logits, rtol=1e-5, atol=1e-5)
+            assert logits.shape == (window.real_length, 2)
+            np.testing.assert_allclose(next(batched_rows)[:window.real_length], logits,
+                                       rtol=1e-5, atol=1e-5)
             _, ranked = extract_span(logits[:, 0], logits[:, 1], window,
                                      config.max_answer_subtokens, config.n_best)
             candidates.extend(ranked)
