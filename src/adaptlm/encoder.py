@@ -10,6 +10,12 @@ Each block is a composition of private sublayer pairs (_affine, _dropout and
 _layernorm, each with its _backward), so every operation and its gradient is
 written once. The hand-derived backward is pinned by finite-difference
 oracles in the test suite.
+
+A forward packs its batch first: _packing_plan places each row's real span
+into as few rows of the batch's width as first-fit-decreasing finds, with
+position ids restarting at 0 per span and a block-diagonal attention mask
+(Krell et al., arXiv 2107.02027). Callers pass and get back the (B, L)
+layout; the packed one lives only inside forward and backward.
 """
 
 from __future__ import annotations
@@ -184,6 +190,65 @@ def init_head(config: EncoderConfig, task: str, out_dim: int, seed: int) -> dict
 # forward / backward
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Packing:
+    """Where the rows of a (B, W) batch sit in the R packed rows of width W.
+
+    Row b's span, its first spans[b] columns (one past its last real
+    column), occupies columns offsets[b] onwards of packed row rows[b].
+    cells lists the flat (B·W) index of every span cell, in order, and
+    slots the flat (R·W) packed index of each.
+    """
+
+    spans: np.ndarray
+    rows: np.ndarray
+    offsets: np.ndarray
+    n_rows: int
+    cells: np.ndarray
+    slots: np.ndarray
+
+    def pack(self, values, fill=0):
+        """A (B, W) array laid out as (R, W) packed rows, fill outside every span."""
+        b, l = values.shape
+        out = np.full(self.n_rows * l, fill, dtype=values.dtype)
+        out[self.slots] = values.reshape(-1)[self.cells]
+        return out.reshape(self.n_rows, l)
+
+    def unpack(self, x, b, l):
+        """(R·W, H) packed states -> (B, W, H), zero outside every span."""
+        out = np.zeros((b * l, x.shape[1]), dtype=x.dtype)
+        out[self.cells] = x[self.slots]
+        return out.reshape(b, l, -1)
+
+    def pack_grad(self, d_hidden):
+        """(B, W, H) -> (R·W, H), the adjoint of unpack."""
+        b, l, h = d_hidden.shape
+        out = np.zeros((self.n_rows * l, h), dtype=d_hidden.dtype)
+        out[self.slots] = d_hidden.reshape(b * l, h)[self.cells]
+        return out
+
+
+def _packing_plan(real) -> _Packing:
+    """First-fit-decreasing placement of each row's span into rows of the
+    batch's own width: longest span first (ties by row), each into the first
+    packed row with room for it. Deterministic in the (B, W) real mask."""
+    b, l = real.shape
+    spans = l - np.argmax(real[:, ::-1], axis=1)
+    rows = np.empty(b, dtype=np.int64)
+    offsets = np.empty(b, dtype=np.int64)
+    used: list[int] = []
+    for i in np.argsort(-spans, kind="stable"):
+        n = int(spans[i])
+        r = next((r for r, u in enumerate(used) if u + n <= l), len(used))
+        if r == len(used):
+            used.append(0)
+        rows[i], offsets[i] = r, used[r]
+        used[r] += n
+    in_span = np.arange(l) < spans[:, None]
+    slots = ((rows * l + offsets)[:, None] + np.arange(l))[in_span]
+    return _Packing(spans, rows, offsets, len(used), np.flatnonzero(in_span), slots)
+
+
 def _split_heads(x, b, n_heads):
     """(B·L, H) rows -> (B, heads, L, H / heads)."""
     rows, h = x.shape
@@ -211,7 +276,8 @@ def _dropout(x, p, rng):
     """Inverted dropout: (x * mask, mask), or (x, None) when p is 0."""
     if p == 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= p).astype(x.dtype) * (1.0 / (1.0 - p))
+    keep = rng.random(x.shape, dtype=np.float32) >= p
+    mask = np.where(keep, x.dtype.type(1.0 / (1.0 - p)), x.dtype.type(0))
     return x * mask, mask
 
 
@@ -240,13 +306,20 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
                    train: bool = False, rng: np.random.Generator | None = None,
                    return_cache: bool = False):
     """Run the encoder over (B, L) int arrays. Returns the (B, L, hidden)
-    last-layer states, or (states, backprop cache) when return_cache is set.
+    last-layer states, zero past each row's last real column, or (states,
+    backprop cache) when return_cache is set.
+
+    Rows are packed first: each row's span (up to its last real column) is
+    placed by _packing_plan into R <= B rows of width L, its position ids
+    restart at 0, and a query attends only to the real keys of its own span.
+    So every span cell gets the state the row would get alone, up to float32
+    rounding. Between the embeddings and the output the states are (R·L,
+    hidden) rows, so each affine map is one matrix product; only attention
+    splits them by packed row and head.
 
     train=True applies inverted dropout (embeddings, attention probabilities,
     both sublayer outputs) using draws from rng. Every mask row needs at
-    least one real position. Between the embeddings and the output the
-    states are (B·L, hidden) rows, so each affine map is one matrix product;
-    only attention splits them by sequence and head.
+    least one real position.
     """
     cfg = weights.config
     ids = np.asarray(ids, dtype=np.int64)
@@ -265,22 +338,31 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
     if p_drop > 0.0 and rng is None:
         raise InputError("training-mode forward with dropout requires an rng")
 
-    key_mask = np.asarray(mask, dtype=dtype)
-    if not (key_mask > 0).any(axis=1).all():
+    real = np.asarray(mask) > 0
+    if not real.any(axis=1).all():
         raise ContractViolation("a mask row has no real position, so its attention is undefined")
+    plan = _packing_plan(real)
+    r = plan.n_rows
+    ids, segments = plan.pack(ids), plan.pack(segments)
+    positions = plan.pack(np.broadcast_to(np.arange(l), (b, l)))
+    # a query sees the real keys of its own span; the padding cells of a
+    # packed row form one more group, so every query sees some key
+    group = plan.pack(np.broadcast_to(np.arange(b)[:, None], (b, l)), fill=-1)
+    keys = plan.pack(real, fill=False) | (group < 0)
+    attn_mask = (group[:, :, None] == group[:, None, :]) & keys[:, None, :]
     scale = dtype.type(1.0 / math.sqrt(cfg.head_dim))
 
-    x, emb_drop = _dropout((t["embeddings.token"][ids] + t["embeddings.position"][:l][None]
-                            + t["embeddings.segment"][segments]).reshape(b * l, cfg.hidden),
+    x, emb_drop = _dropout((t["embeddings.token"][ids] + t["embeddings.position"][positions]
+                            + t["embeddings.segment"][segments]).reshape(r * l, cfg.hidden),
                            p_drop, rng)
     layers = []
     for i in range(cfg.layers):
         p = f"layer.{i}"
         x_in = x
-        qh, kh, vh = (_split_heads(_affine(x, t, f"{p}.attention.{proj}"), b, cfg.heads)
+        qh, kh, vh = (_split_heads(_affine(x, t, f"{p}.attention.{proj}"), r, cfg.heads)
                       for proj in ("query", "key", "value"))
         scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-        probs = kernels.attention_softmax(scores, key_mask)
+        probs = kernels.attention_softmax(scores, attn_mask)
         probs_used, attn_drop = _dropout(probs, p_drop, rng)
         ctx = _merge_heads(probs_used @ vh)
         attn, attn_out_drop = _dropout(_affine(ctx, t, f"{p}.attention.output"), p_drop, rng)
@@ -297,10 +379,11 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
                                attn_out_drop=attn_out_drop, norm1=norm1, x1=x1, h1=h1,
                                a=a, ffn_drop=ffn_drop, norm2=norm2))
 
-    hidden = x.reshape(b, l, cfg.hidden)
+    hidden = plan.unpack(x, b, l)
     if not return_cache:
         return hidden
-    return hidden, {"ids": ids, "segments": segments, "emb_drop": emb_drop, "layers": layers}
+    return hidden, {"plan": plan, "ids": ids, "segments": segments, "positions": positions,
+                    "emb_drop": emb_drop, "layers": layers}
 
 
 def zero_grads(weights: WeightStore) -> dict[str, np.ndarray]:
@@ -320,9 +403,10 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
     t = weights.tensors
     grads = zero_grads(weights) if grads is None else grads
 
-    b, l, h = d_hidden.shape
+    plan = cache["plan"]
+    r = plan.n_rows
     scale = weights.dtype.type(1.0 / math.sqrt(cfg.head_dim))
-    d = d_hidden.reshape(b * l, h)
+    d = plan.pack_grad(d_hidden)
 
     for i in reversed(range(cfg.layers)):
         p = f"layer.{i}"
@@ -337,7 +421,7 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
         d_res1 = _layernorm_backward(d_x1, lc["norm1"], t, f"{p}.attention.norm", grads)
         d_ctx = _split_heads(_affine_backward(_dropout_backward(d_res1, lc["attn_out_drop"]),
                                               lc["ctx"], t, f"{p}.attention.output", grads),
-                             b, cfg.heads)
+                             r, cfg.heads)
         d_probs = _dropout_backward(d_ctx @ lc["vh"].transpose(0, 1, 3, 2), lc["attn_drop"])
         d_vh = lc["probs_used"].transpose(0, 1, 3, 2) @ d_ctx
         d_scores = kernels.attention_softmax_backward(d_probs, lc["probs"]) * scale
@@ -350,9 +434,8 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
                                      f"{p}.attention.{proj}", grads)
 
     d = _dropout_backward(d, cache["emb_drop"])
-    kernels.embedding_grad(cache["ids"].reshape(-1), d, grads["embeddings.token"])
-    grads["embeddings.position"][:l] += d.reshape(b, l, h).sum(axis=0)
-    kernels.embedding_grad(cache["segments"].reshape(-1), d, grads["embeddings.segment"])
+    for name, table in (("ids", "token"), ("positions", "position"), ("segments", "segment")):
+        kernels.embedding_grad(cache[name].reshape(-1), d, grads[f"embeddings.{table}"])
     return grads
 
 

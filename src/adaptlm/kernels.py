@@ -59,56 +59,100 @@ _GELU_CUBIC = 0.044715
 
 def gelu_forward(x):
     """tanh-approximation GELU."""
-    u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x * x * x)
-    return 0.5 * x * (1.0 + np.tanh(u))
+    y = x * x
+    y *= _GELU_CUBIC
+    y += 1.0
+    y *= x
+    y *= _SQRT_2_OVER_PI
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= x
+    y *= 0.5
+    return y
 
 
 def gelu_backward(dy, x):
-    u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x * x * x)
-    t = np.tanh(u)
-    du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * x * x)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    x2 = x * x
+    t = x2 * _GELU_CUBIC
+    t += 1.0
+    t *= x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    # d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) du/dx, u the tanh argument
+    d = x2
+    d *= 3.0 * _GELU_CUBIC
+    d += 1.0
+    d *= 0.5 * _SQRT_2_OVER_PI
+    d *= x
+    d *= 1.0 - t * t
+    t += 1.0
+    t *= 0.5
+    d += t
+    d *= dy
+    return d
+
+
+def _row_max(x):
+    """Max over the last axis by halving: exact, one np.maximum per halving."""
+    while x.shape[-1] > 1:
+        half = x.shape[-1] // 2
+        top = np.maximum(x[..., :half], x[..., half:2 * half])
+        if x.shape[-1] % 2:
+            np.maximum(top[..., :1], x[..., -1:], out=top[..., :1])
+        x = top
+    return x
 
 
 def layernorm_forward(x, gamma, beta, eps):
     """Normalize rows of a (rows, hidden) array. Returns (y, mean, rstd)."""
     mean = x.mean(axis=1)
-    centered = x - mean[:, None]
-    var = np.mean(centered * centered, axis=1)
-    rstd = 1.0 / np.sqrt(var + eps)
-    xhat = centered * rstd[:, None]
-    return xhat * gamma + beta, mean, rstd
+    y = x - mean[:, None]
+    rstd = (y * y).mean(axis=1)
+    rstd += eps
+    np.sqrt(rstd, out=rstd)
+    np.reciprocal(rstd, out=rstd)
+    y *= rstd[:, None]
+    y *= gamma
+    y += beta
+    return y, mean, rstd
 
 
 def layernorm_backward(dy, x, gamma, mean, rstd):
-    xhat = (x - mean[:, None]) * rstd[:, None]
+    xhat = x - mean[:, None]
+    xhat *= rstd[:, None]
     dgamma = (dy * xhat).sum(axis=0)
     dbeta = dy.sum(axis=0)
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) * rstd[:, None]
+    dx = dy * gamma
+    m1 = dx.mean(axis=1)
+    m2 = (dx * xhat).mean(axis=1)
+    xhat *= m2[:, None]
+    dx -= m1[:, None]
+    dx -= xhat
+    dx *= rstd[:, None]
     return dx, dgamma, dbeta
 
 
 def attention_softmax(scores, key_mask):
     """Row softmax of (batch, heads, q, k) scores; masked keys get exact weight 0.
 
-    key_mask is (batch, k) with 1.0 for real positions. Rows must have at
-    least one unmasked key; encoder.forward_arrays enforces that.
+    key_mask marks with a nonzero (or True) entry the keys a query may see:
+    (batch, k), the same keys for every query of a row, or (batch, q, k), one
+    set per query. Every query needs at least one; encoder.forward_arrays
+    ensures that.
     """
-    neg = np.array(-1e9, dtype=scores.dtype)
-    bias = np.where(key_mask[:, None, None, :] > 0, scores.dtype.type(0), neg)
-    z = scores + bias
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    e = e * key_mask[:, None, None, :]
-    return e / e.sum(axis=-1, keepdims=True)
+    keep = key_mask if key_mask.dtype == np.bool_ else key_mask > 0
+    keep = keep[:, None, None, :] if keep.ndim == 2 else keep[:, None]
+    probs = np.where(keep, scores, -np.inf)
+    probs -= _row_max(probs)
+    np.exp(probs, out=probs)  # exp(-inf) is exactly 0
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def attention_softmax_backward(dprobs, probs):
-    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
-    return (dprobs - inner) * probs
+    d = dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)
+    d *= probs
+    return d
 
 
 def softmax_xent(logits, targets):
@@ -134,5 +178,11 @@ def adamw_update(param, grad, m, v, lr, beta1, beta2, eps, weight_decay, bc1, bc
 
 
 def embedding_grad(ids, dout, table):
-    """Accumulate dout rows into table rows selected by ids (scatter-add)."""
-    np.add.at(table, ids, dout)
+    """Accumulate dout rows into table rows selected by ids (scatter-add):
+    rows sorted by id (stably), then one sum per run of equal ids."""
+    if ids.size == 0:
+        return
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    table[sorted_ids[starts]] += np.add.reduceat(dout[order], starts, axis=0)

@@ -10,7 +10,8 @@ Every EncodedInput (single texts, text pairs, pretraining segments and QA
 windows) is laid out by _pack as [CLS] A [SEP] (B [SEP]) plus padding to the
 encoding's max_len. batch_arrays stacks a batch and cuts it after its last
 real column, so the encoder never computes on a column that is padding in
-every row.
+every row; the encoder then packs the rows' real spans together (see
+encoder.forward_arrays).
 """
 
 from __future__ import annotations

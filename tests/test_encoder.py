@@ -135,18 +135,24 @@ def test_forward_attention_matches_reference_per_row_and_head(toy_vocab):
     cfg = EncoderConfig(vocab_size=len(toy_vocab), hidden=8, layers=1, heads=2, ff_dim=16,
                         max_positions=12, dropout=0.0, init_std=0.5, seed=3)
     batch = [encode_sequence("a b c d e f", None, toy_vocab, 10),
-             encode_sequence("a b", None, toy_vocab, 10)]  # padded row
+             encode_sequence("a b", None, toy_vocab, 10),  # padded rows, which pack
+             encode_sequence("c", None, toy_vocab, 10)]
     ids, segments, mask = batch_arrays(batch)
-    assert mask[1].sum() < mask.shape[1]
     _, cache = forward_arrays(init_weights(cfg), ids, segments, mask, return_cache=True)
-    layer = cache["layers"][0]
+    plan, layer = cache["plan"], cache["layers"][0]
+    assert plan.n_rows < len(batch)
     context = layer["probs"] @ layer["vh"]
     for row in range(len(batch)):
+        # the row's span sits at columns offset:offset + n of its packed row
+        r, n = plan.rows[row], plan.spans[row]
+        cols = slice(plan.offsets[row], plan.offsets[row] + n)
         for head in range(cfg.heads):
-            out, w = scaled_attention(layer["qh"][row, head], layer["kh"][row, head],
-                                      layer["vh"][row, head], mask[row], return_weights=True)
-            np.testing.assert_allclose(layer["probs"][row, head], w, rtol=1e-5, atol=1e-6)
-            np.testing.assert_allclose(context[row, head], out, rtol=1e-5, atol=1e-6)
+            out, w = scaled_attention(layer["qh"][r, head, cols], layer["kh"][r, head, cols],
+                                      layer["vh"][r, head, cols], mask[row, :n],
+                                      return_weights=True)
+            np.testing.assert_allclose(layer["probs"][r, head, cols, cols], w,
+                                       rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(context[r, head, cols], out, rtol=1e-5, atol=1e-6)
 
 
 def test_forward_output_shapes(tiny_weights, toy_vocab):

@@ -1,11 +1,16 @@
 """Kernel-level math, and float64 finite-difference oracles for the backward
 kernels."""
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from adaptlm import kernels as K
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 FD_STEP = 1e-6
 FD_TOL = 1e-7
@@ -124,3 +129,65 @@ def test_confident_logits_cross_entropy_near_zero():
     logits[np.arange(4), targets] = 30.0
     losses, _ = K.softmax_xent(logits, targets)
     assert losses.max() < 1e-8
+
+
+def _tiny_kernel_args(rng):
+    """Small arguments for every kernel, in the shapes the encoder, the
+    heads and the optimizer pass them."""
+    x = rng.standard_normal((6, 4))
+    scores = rng.standard_normal((2, 2, 3, 3))
+    probs = K.attention_softmax(scores, np.ones((2, 3)))
+    _, mean, rstd = K.layernorm_forward(x, np.ones(4), np.zeros(4), 1e-12)
+    flat = rng.standard_normal(5)
+    return {
+        "gelu_forward": (x,),
+        "gelu_backward": (x, x),
+        "layernorm_forward": (x, np.ones(4), np.zeros(4), 1e-12),
+        "layernorm_backward": (x, x, np.ones(4), mean, rstd),
+        "attention_softmax": (scores, np.ones((2, 3, 3), dtype=bool)),
+        "attention_softmax_backward": (scores, probs),
+        "softmax_xent": (rng.standard_normal((3, 5)), np.array([0, 4, 2])),
+        "adamw_update": (flat, flat.copy(), np.zeros(5), np.zeros(5),
+                         1e-3, 0.9, 0.999, 1e-6, 0.01, 0.1, 0.001),
+        "embedding_grad": (np.array([2, 0, 2, 1, 0, 3]), x, np.zeros((4, 4))),
+    }
+
+
+def test_every_traced_kernel_runs_under_the_benchmark_cost_model(rng, monkeypatch):
+    """perfbench --trace 1 calls each kernel it wraps with the arguments it
+    recorded, then prices them with microbench.kernel_cost: both must keep
+    accepting the kernels' arguments."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    microbench = importlib.import_module("microbench")
+    args = _tiny_kernel_args(rng)
+    assert set(args) == set(tracing.KERNELS)
+    for name in tracing.KERNELS:
+        getattr(K, name)(*args[name])
+        ops, moved = microbench.kernel_cost(name, args[name])
+        assert ops > 0 and moved > 0, name
+
+
+def test_embedding_grad_sums_repeated_ids(rng):
+    ids = np.array([3, 0, 3, 3, 1])
+    dout = rng.standard_normal((5, 2))
+    table = np.ones((4, 2))
+    K.embedding_grad(ids, dout, table)
+    expected = np.ones((4, 2))
+    np.add.at(expected, ids, dout)
+    np.testing.assert_allclose(table, expected, rtol=1e-12)
+    assert (table[2] == 1.0).all()
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 8, 31])
+def test_attention_softmax_per_query_mask(rng, width):
+    scores = rng.standard_normal((2, 3, width, width)) * 20
+    keep = rng.random((2, width, width)) > 0.4
+    keep[..., 0] = True
+    probs = K.attention_softmax(scores, keep)
+    expected = np.where(keep[:, None], np.exp(scores - np.where(keep[:, None], scores,
+                                                                -np.inf).max(-1, keepdims=True)),
+                        0.0)
+    expected /= expected.sum(axis=-1, keepdims=True)
+    np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=1e-15)
+    assert (probs[np.broadcast_to(~keep[:, None], probs.shape)] == 0.0).all()
