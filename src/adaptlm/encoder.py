@@ -16,11 +16,26 @@ into as few rows of the batch's width as first-fit-decreasing finds, with
 position ids restarting at 0 per span and a block-diagonal attention mask
 (Krell et al., arXiv 2107.02027). Callers pass and get back the (B, L)
 layout; the packed one lives only inside forward and backward.
+
+A large batch then splits its R packed rows into two groups, [0, ceil(R/2))
+and the rest, and runs the layer stack of each on its own thread
+(_row_groups, _in_groups); attention never crosses a packed row, so the
+groups are independent, and numpy releases the GIL inside BLAS calls and
+large ufuncs, so they overlap. A small batch runs the same layer stack once,
+as one group. Importing kernels pins numpy's bundled OpenBLAS to one thread,
+since the second core now runs the second group. The group bounds depend on
+the shape alone, the second group's layer grads are added to the first's in
+a fixed order, and each group draws dropout from its own generator seeded
+from the caller's rng. So a run's bytes do not depend on the CPU count, on
+pool or serial execution, or on OPENBLAS_NUM_THREADS (where numpy has no
+bundled OpenBLAS to pin, large products follow that BLAS's own threads).
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,59 +317,62 @@ def _layernorm_backward(d_y, saved, t, name, grads):
     return d_x
 
 
-def forward_arrays(weights: WeightStore, ids, segments, mask, *,
-                   train: bool = False, rng: np.random.Generator | None = None,
-                   return_cache: bool = False):
-    """Run the encoder over (B, L) int arrays. Returns the (B, L, hidden)
-    last-layer states, zero past each row's last real column, or (states,
-    backprop cache) when return_cache is set.
+# A batch splits into two groups of packed rows once its (R·W, hidden)
+# states hold this many cells. Timed on two cores (2 layers, 4 heads,
+# dropout 0.1, 16-row batches), a training step with two groups took 1.19x
+# as long as with one at 26.6k cells, the same at 32.8k, 0.74-0.84x at
+# 41k-57k and 0.54-0.69x from 61k to 262k. The constant keeps a margin
+# above the break-even and above every reference-shape batch (at most
+# 16 x 32 x 64 = 32,768 cells).
+GROUP_MIN_CELLS = 1 << 16
 
-    Rows are packed first: each row's span (up to its last real column) is
-    placed by _packing_plan into R <= B rows of width L, its position ids
-    restart at 0, and a query attends only to the real keys of its own span.
-    So every span cell gets the state the row would get alone, up to float32
-    rounding. Between the embeddings and the output the states are (R·L,
-    hidden) rows, so each affine map is one matrix product; only attention
-    splits them by packed row and head.
 
-    train=True applies inverted dropout (embeddings, attention probabilities,
-    both sublayer outputs) using draws from rng. Every mask row needs at
-    least one real position.
-    """
-    cfg = weights.config
-    ids = np.asarray(ids, dtype=np.int64)
-    segments = np.asarray(segments, dtype=np.int64)
-    b, l = ids.shape
-    if l > cfg.max_positions:
-        raise InputError(f"sequence length {l} exceeds max_positions {cfg.max_positions}")
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise InputError("token id out of vocabulary range")
-    if segments.min() < 0 or segments.max() >= N_SEGMENTS:
-        raise InputError("segment id out of range")
+def _row_groups(n_rows, width, hidden):
+    """The [lo, hi) packed-row ranges whose layer stacks run side by side:
+    two halves for a large batch, else all rows as one group. Attention never
+    crosses a packed row, so the groups are independent. A function of the
+    shape alone, so the bytes do not depend on the CPUs a run gets."""
+    if n_rows >= 2 and n_rows * width * hidden >= GROUP_MIN_CELLS:
+        half = (n_rows + 1) // 2
+        return [(0, half), (half, n_rows)]
+    return [(0, n_rows)]
 
-    dtype = weights.dtype
-    t = weights.tensors
-    p_drop = cfg.dropout if train else 0.0
-    if p_drop > 0.0 and rng is None:
-        raise InputError("training-mode forward with dropout requires an rng")
 
-    real = np.asarray(mask) > 0
-    if not real.any(axis=1).all():
-        raise ContractViolation("a mask row has no real position, so its attention is undefined")
-    plan = _packing_plan(real)
-    r = plan.n_rows
-    ids, segments = plan.pack(ids), plan.pack(segments)
-    positions = plan.pack(np.broadcast_to(np.arange(l), (b, l)))
-    # a query sees the real keys of its own span; the padding cells of a
-    # packed row form one more group, so every query sees some key
-    group = plan.pack(np.broadcast_to(np.arange(b)[:, None], (b, l)), fill=-1)
-    keys = plan.pack(real, fill=False) | (group < 0)
-    attn_mask = (group[:, :, None] == group[:, None, :]) & keys[:, None, :]
-    scale = dtype.type(1.0 / math.sqrt(cfg.head_dim))
+_pool: ThreadPoolExecutor | None = None
 
-    x, emb_drop = _dropout((t["embeddings.token"][ids] + t["embeddings.position"][positions]
-                            + t["embeddings.segment"][segments]).reshape(r * l, cfg.hidden),
-                           p_drop, rng)
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)  # a forked child has no pool threads
+
+
+def _in_groups(fn, n):
+    """[fn(0), ..., fn(n - 1)]: fn(0) on this thread and the rest on a pool
+    thread when the process may use two CPUs, else all here in order. numpy
+    releases the GIL inside BLAS calls and large ufuncs, so the groups
+    overlap."""
+    global _pool
+    if n == 1 or len(os.sched_getaffinity(0)) < 2:
+        return [fn(g) for g in range(n)]
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=n - 1, thread_name_prefix="adaptlm-group")
+    futures = [_pool.submit(fn, g) for g in range(1, n)]
+    try:
+        first = fn(0)
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
+def _layers_forward(t, cfg, x, attn_mask, p_drop, rng, keep_cache):
+    """The layer stack over one group of packed rows: x holds their (rows·W,
+    hidden) embeddings, attn_mask their (rows, W, W) mask. Returns the
+    last-layer rows and, with keep_cache, the per-layer backprop cache."""
+    r = attn_mask.shape[0]
+    scale = t["embeddings.token"].dtype.type(1.0 / math.sqrt(cfg.head_dim))
     layers = []
     for i in range(cfg.layers):
         p = f"layer.{i}"
@@ -373,17 +391,86 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
         h2, ffn_drop = _dropout(_affine(a, t, f"{p}.ffn.output"), p_drop, rng)
         x, norm2 = _layernorm(x1 + h2, t, f"{p}.ffn.norm", cfg.layernorm_epsilon)
 
-        if return_cache:
+        if keep_cache:
             layers.append(dict(x_in=x_in, qh=qh, kh=kh, vh=vh, probs=probs,
                                probs_used=probs_used, attn_drop=attn_drop, ctx=ctx,
                                attn_out_drop=attn_out_drop, norm1=norm1, x1=x1, h1=h1,
                                a=a, ffn_drop=ffn_drop, norm2=norm2))
+    return x, layers
 
-    hidden = plan.unpack(x, b, l)
+
+def forward_arrays(weights: WeightStore, ids, segments, mask, *,
+                   train: bool = False, rng: np.random.Generator | None = None,
+                   return_cache: bool = False):
+    """Run the encoder over (B, L) int arrays. Returns the (B, L, hidden)
+    last-layer states, zero past each row's last real column, or (states,
+    backprop cache) when return_cache is set.
+
+    Rows are packed first: each row's span (up to its last real column) is
+    placed by _packing_plan into R <= B rows of width L, its position ids
+    restart at 0, and a query attends only to the real keys of its own span.
+    So every span cell gets the state the row would get alone, up to float32
+    rounding. Between the embeddings and the output the states are (R·L,
+    hidden) rows, so each affine map is one matrix product; only attention
+    splits them by packed row and head. A large batch then runs the layer
+    stack in two groups of packed rows, side by side (_row_groups).
+
+    train=True applies inverted dropout (embeddings, attention probabilities,
+    both sublayer outputs) using draws from rng; with two groups, each group
+    draws from its own generator, seeded from rng. Every mask row needs at
+    least one real position.
+    """
+    cfg = weights.config
+    ids = np.asarray(ids, dtype=np.int64)
+    segments = np.asarray(segments, dtype=np.int64)
+    b, l = ids.shape
+    if l > cfg.max_positions:
+        raise InputError(f"sequence length {l} exceeds max_positions {cfg.max_positions}")
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+        raise InputError("token id out of vocabulary range")
+    if segments.min() < 0 or segments.max() >= N_SEGMENTS:
+        raise InputError("segment id out of range")
+
+    t = weights.tensors
+    p_drop = cfg.dropout if train else 0.0
+    if p_drop > 0.0 and rng is None:
+        raise InputError("training-mode forward with dropout requires an rng")
+
+    real = np.asarray(mask) > 0
+    if not real.any(axis=1).all():
+        raise ContractViolation("a mask row has no real position, so its attention is undefined")
+    plan = _packing_plan(real)
+    r = plan.n_rows
+    ids, segments = plan.pack(ids), plan.pack(segments)
+    positions = plan.pack(np.broadcast_to(np.arange(l), (b, l)))
+    # a query sees the real keys of its own span; the padding cells of a
+    # packed row form one more group, so every query sees some key
+    group = plan.pack(np.broadcast_to(np.arange(b)[:, None], (b, l)), fill=-1)
+    keys = plan.pack(real, fill=False) | (group < 0)
+    attn_mask = (group[:, :, None] == group[:, None, :]) & keys[:, None, :]
+
+    x, emb_drop = _dropout((t["embeddings.token"][ids] + t["embeddings.position"][positions]
+                            + t["embeddings.segment"][segments]).reshape(r * l, cfg.hidden),
+                           p_drop, rng)
+    groups = _row_groups(r, l, cfg.hidden)
+    rngs = [rng] * len(groups)
+    if len(groups) > 1 and p_drop > 0.0:
+        rngs = [np.random.default_rng(seed) for seed in rng.integers(1 << 63, size=len(groups))]
+    out = np.empty_like(x)
+
+    def run(g):
+        lo, hi = groups[g]
+        rows = slice(lo * l, hi * l)
+        out[rows], layers = _layers_forward(t, cfg, x[rows], attn_mask[lo:hi], p_drop, rngs[g],
+                                            return_cache)
+        return layers
+
+    layers = _in_groups(run, len(groups))
+    hidden = plan.unpack(out, b, l)
     if not return_cache:
         return hidden
     return hidden, {"plan": plan, "ids": ids, "segments": segments, "positions": positions,
-                    "emb_drop": emb_drop, "layers": layers}
+                    "emb_drop": emb_drop, "groups": list(zip(groups, layers))}
 
 
 def zero_grads(weights: WeightStore) -> dict[str, np.ndarray]:
@@ -392,25 +479,14 @@ def zero_grads(weights: WeightStore) -> dict[str, np.ndarray]:
             if not name.startswith(HEAD_PREFIX)}
 
 
-def backward_arrays(weights: WeightStore, cache, d_hidden,
-                    grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Backpropagate d(loss)/d(hidden states) through the whole encoder.
-
-    Accumulates into (and returns) a name -> gradient dict covering every
-    core tensor, matching the layout of the forward cache.
-    """
-    cfg = weights.config
-    t = weights.tensors
-    grads = zero_grads(weights) if grads is None else grads
-
-    plan = cache["plan"]
-    r = plan.n_rows
-    scale = weights.dtype.type(1.0 / math.sqrt(cfg.head_dim))
-    d = plan.pack_grad(d_hidden)
-
+def _layers_backward(t, cfg, d, layers, grads):
+    """Backpropagate d(loss)/d(last-layer rows) of one group through the layer
+    stack; accumulate the layer grads into grads and return d(embedding rows)."""
+    scale = t["embeddings.token"].dtype.type(1.0 / math.sqrt(cfg.head_dim))
+    r = layers[0]["qh"].shape[0]
     for i in reversed(range(cfg.layers)):
         p = f"layer.{i}"
-        lc = cache["layers"][i]
+        lc = layers[i]
 
         d_res2 = _layernorm_backward(d, lc["norm2"], t, f"{p}.ffn.norm", grads)
         d_a = _affine_backward(_dropout_backward(d_res2, lc["ffn_drop"]), lc["a"], t,
@@ -432,6 +508,39 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
         for proj, d_ph in (("query", d_qh), ("key", d_kh), ("value", d_vh)):
             d = d + _affine_backward(_merge_heads(d_ph), lc["x_in"], t,
                                      f"{p}.attention.{proj}", grads)
+    return d
+
+
+def backward_arrays(weights: WeightStore, cache, d_hidden,
+                    grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Backpropagate d(loss)/d(hidden states) through the whole encoder.
+
+    Accumulates into (and returns) a name -> gradient dict covering every
+    core tensor, matching the layout of the forward cache. The first group
+    of packed rows accumulates its layer grads into grads directly, a second
+    one into scratch arrays that are then added, so the sums do not depend on
+    which group finishes first.
+    """
+    cfg = weights.config
+    t = weights.tensors
+    grads = zero_grads(weights) if grads is None else grads
+
+    l = d_hidden.shape[1]
+    d = cache["plan"].pack_grad(d_hidden)
+    groups = cache["groups"]
+    targets = [grads] + [{name: np.zeros_like(g) for name, g in grads.items()
+                          if name.startswith("layer.")} for _ in groups[1:]]
+
+    def run(g):
+        (lo, hi), layers = groups[g]
+        rows = slice(lo * l, hi * l)
+        # each group reads, then overwrites, only its own rows of d
+        d[rows] = _layers_backward(t, cfg, d[rows], layers, targets[g])
+
+    _in_groups(run, len(groups))
+    for extra in targets[1:]:
+        for name, grad in extra.items():
+            grads[name] += grad
 
     d = _dropout_backward(d, cache["emb_drop"])
     for name, table in (("ids", "token"), ("positions", "position"), ("segments", "segment")):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +52,33 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+
+
+def _one_blas_thread() -> None:
+    """Have numpy's bundled OpenBLAS compute every product on the calling thread.
+
+    A large batch already runs on two threads of its own (encoder._in_groups),
+    and a BLAS thread spinning between products only takes the core from the
+    other group; two processes on two cores each fought their own BLAS
+    threads. The bytes of a product also depend on how BLAS splits it, so
+    with the count fixed at one, whatever OPENBLAS_NUM_THREADS or the CPU
+    count says, a run writes the same bytes everywhere. Where numpy has no
+    bundled scipy-openblas library this does nothing, and the thread count
+    (and with it, at large shapes, the low bits) follows that BLAS's own
+    settings.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = (ctypes.c_int,)
+        set_threads.restype = None
+        set_threads(1)
+
+
+_one_blas_thread()
 
 
 _SQRT_2_OVER_PI = 0.7978845608028654

@@ -4,9 +4,6 @@ The corpus format is plain UTF-8 text, one sentence per line, blank line
 between documents. Sentences are subword-split once, then packed into
 [CLS] ... [SEP] segments of at most max_len tokens without crossing document
 boundaries. Masks are re-drawn for every batch (dynamic masking).
-
-Full-scale reference constants are recorded here for documentation; desk
-runs use far smaller values.
 """
 
 from __future__ import annotations
@@ -29,9 +26,6 @@ from .optimizer import AdamW, linear_schedule
 from .tokenizer import (EncodedInput, basic_tokenize, batch_arrays, encode_pieces, stack_fields,
                         wordpiece_split)
 from .vocab import Vocabulary
-
-REFERENCE_PRETRAIN_BATCH = 192
-REFERENCE_MAX_SEQUENCE_LEN = 512
 
 # BERT's 80/10/10 split of selected positions: [MASK], a random id, unchanged.
 REPLACE_WITH_MASK = 0.80

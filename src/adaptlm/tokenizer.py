@@ -17,7 +17,7 @@ encoder.forward_arrays).
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,8 @@ class EncodedInput:
         return int(self.mask.sum())
 
     def with_ids(self, new_ids: np.ndarray) -> "EncodedInput":
-        return replace(self, ids=np.asarray(new_ids, dtype=np.int32))
+        return EncodedInput(np.asarray(new_ids, dtype=np.int32), self.segments, self.mask,
+                            self.word_index, self.offsets, self.text_a, self.text_b)
 
 
 def split_with_offsets(text: str, vocab: Vocabulary):

@@ -139,7 +139,10 @@ def test_forward_attention_matches_reference_per_row_and_head(toy_vocab):
              encode_sequence("c", None, toy_vocab, 10)]
     ids, segments, mask = batch_arrays(batch)
     _, cache = forward_arrays(init_weights(cfg), ids, segments, mask, return_cache=True)
-    plan, layer = cache["plan"], cache["layers"][0]
+    plan = cache["plan"]
+    # layer 0's tensors over all packed rows, joining the row groups
+    layer = {key: np.concatenate([layers[0][key] for _, layers in cache["groups"]])
+             for key in ("qh", "kh", "vh", "probs")}
     assert plan.n_rows < len(batch)
     context = layer["probs"] @ layer["vh"]
     for row in range(len(batch)):

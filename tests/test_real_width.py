@@ -231,7 +231,10 @@ def test_packed_batch_equals_each_row_alone(task, tiny_weights, toy_vocab):
 
 def _packed_probs(weights, ids, segments, mask):
     _, cache = forward_arrays(weights, ids, segments, mask, return_cache=True)
-    return cache["plan"], [layer["probs"] for layer in cache["layers"]]
+    # each layer's probs over all packed rows, joining the row groups
+    n_layers = weights.config.layers
+    return cache["plan"], [np.concatenate([layers[i]["probs"] for _, layers in cache["groups"]])
+                           for i in range(n_layers)]
 
 
 def test_a_holed_mask_keeps_its_masked_keys_masked(tiny_weights, toy_vocab):
