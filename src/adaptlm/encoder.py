@@ -11,11 +11,13 @@ _layernorm, each with its _backward), so every operation and its gradient is
 written once. The hand-derived backward is pinned by finite-difference
 oracles in the test suite.
 
-A forward packs its batch first: _packing_plan places each row's real span
-into as few rows of the batch's width as first-fit-decreasing finds, with
-position ids restarting at 0 per span and a block-diagonal attention mask
-(Krell et al., arXiv 2107.02027). Callers pass and get back the (B, L)
-layout; the packed one lives only inside forward and backward.
+A forward packs its batch first. A row's span runs to its last real column,
+and the batch's real width W is its longest span, so columns that are
+padding in every row are never computed on. _packing_plan places each span
+into as few rows of width W as first-fit-decreasing finds, with position ids
+restarting at 0 per span and a block-diagonal attention mask (Krell et al.,
+arXiv 2107.02027). Callers pass and get back the (B, L) layout at the
+encoding length; the packed one lives only inside forward and backward.
 
 A large batch then splits its R packed rows into two groups, [0, ceil(R/2))
 and the rest, and runs the layer stack of each on its own thread
@@ -207,61 +209,58 @@ def init_head(config: EncoderConfig, task: str, out_dim: int, seed: int) -> dict
 
 @dataclass(frozen=True)
 class _Packing:
-    """Where the rows of a (B, W) batch sit in the R packed rows of width W.
+    """Where the rows of a (B, L) batch sit in the R packed rows of width W.
 
     Row b's span, its first spans[b] columns (one past its last real
-    column), occupies columns offsets[b] onwards of packed row rows[b].
-    cells lists the flat (B·W) index of every span cell, in order, and
-    slots the flat (R·W) packed index of each.
+    column), occupies columns offsets[b] onwards of packed row rows[b]; W is
+    the longest span. cells lists the flat (B·L) index of every span cell,
+    in order, and slots the flat (R·W) packed index of each.
     """
 
     spans: np.ndarray
     rows: np.ndarray
     offsets: np.ndarray
     n_rows: int
+    width: int
     cells: np.ndarray
     slots: np.ndarray
 
     def pack(self, values, fill=0):
-        """A (B, W) array laid out as (R, W) packed rows, fill outside every span."""
-        b, l = values.shape
-        out = np.full(self.n_rows * l, fill, dtype=values.dtype)
-        out[self.slots] = values.reshape(-1)[self.cells]
-        return out.reshape(self.n_rows, l)
+        """A (B, L, ...) array laid out as (R, W, ...) packed rows, fill
+        outside every span."""
+        b, l, *rest = values.shape
+        out = np.full((self.n_rows * self.width, *rest), fill, dtype=values.dtype)
+        out[self.slots] = values.reshape(b * l, *rest)[self.cells]
+        return out.reshape(self.n_rows, self.width, *rest)
 
     def unpack(self, x, b, l):
-        """(R·W, H) packed states -> (B, W, H), zero outside every span."""
+        """(R·W, H) packed states -> (B, L, H), zero outside every span."""
         out = np.zeros((b * l, x.shape[1]), dtype=x.dtype)
         out[self.cells] = x[self.slots]
         return out.reshape(b, l, -1)
 
-    def pack_grad(self, d_hidden):
-        """(B, W, H) -> (R·W, H), the adjoint of unpack."""
-        b, l, h = d_hidden.shape
-        out = np.zeros((self.n_rows * l, h), dtype=d_hidden.dtype)
-        out[self.slots] = d_hidden.reshape(b * l, h)[self.cells]
-        return out
-
 
 def _packing_plan(real) -> _Packing:
-    """First-fit-decreasing placement of each row's span into rows of the
-    batch's own width: longest span first (ties by row), each into the first
-    packed row with room for it. Deterministic in the (B, W) real mask."""
+    """First-fit-decreasing placement of each row's span into rows as wide
+    as the longest span: longest span first (ties by row), each into the
+    first packed row with room for it. Deterministic in the (B, L) real
+    mask."""
     b, l = real.shape
     spans = l - np.argmax(real[:, ::-1], axis=1)
+    w = int(spans.max())
     rows = np.empty(b, dtype=np.int64)
     offsets = np.empty(b, dtype=np.int64)
     used: list[int] = []
     for i in np.argsort(-spans, kind="stable"):
         n = int(spans[i])
-        r = next((r for r, u in enumerate(used) if u + n <= l), len(used))
+        r = next((r for r, u in enumerate(used) if u + n <= w), len(used))
         if r == len(used):
             used.append(0)
         rows[i], offsets[i] = r, used[r]
         used[r] += n
     in_span = np.arange(l) < spans[:, None]
-    slots = ((rows * l + offsets)[:, None] + np.arange(l))[in_span]
-    return _Packing(spans, rows, offsets, len(used), np.flatnonzero(in_span), slots)
+    slots = ((rows * w + offsets)[:, None] + np.arange(l))[in_span]
+    return _Packing(spans, rows, offsets, len(used), w, np.flatnonzero(in_span), slots)
 
 
 def _split_heads(x, b, n_heads):
@@ -407,25 +406,24 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
     backprop cache) when return_cache is set.
 
     Rows are packed first: each row's span (up to its last real column) is
-    placed by _packing_plan into R <= B rows of width L, its position ids
-    restart at 0, and a query attends only to the real keys of its own span.
-    So every span cell gets the state the row would get alone, up to float32
-    rounding. Between the embeddings and the output the states are (R·L,
-    hidden) rows, so each affine map is one matrix product; only attention
-    splits them by packed row and head. A large batch then runs the layer
-    stack in two groups of packed rows, side by side (_row_groups).
+    placed by _packing_plan into R <= B rows of width W, the longest span,
+    its position ids restart at 0, and a query attends only to the real keys
+    of its own span. So every span cell gets the state the row would get
+    alone, up to float32 rounding, and no column past W is computed on.
+    Between the embeddings and the output the states are (R·W, hidden) rows,
+    so each affine map is one matrix product; only attention splits them by
+    packed row and head. A large batch then runs the layer stack in two
+    groups of packed rows, side by side (_row_groups).
 
     train=True applies inverted dropout (embeddings, attention probabilities,
     both sublayer outputs) using draws from rng; with two groups, each group
     draws from its own generator, seeded from rng. Every mask row needs at
-    least one real position.
+    least one real position, and no span may be longer than max_positions.
     """
     cfg = weights.config
     ids = np.asarray(ids, dtype=np.int64)
     segments = np.asarray(segments, dtype=np.int64)
     b, l = ids.shape
-    if l > cfg.max_positions:
-        raise InputError(f"sequence length {l} exceeds max_positions {cfg.max_positions}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise InputError("token id out of vocabulary range")
     if segments.min() < 0 or segments.max() >= N_SEGMENTS:
@@ -440,7 +438,9 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
     if not real.any(axis=1).all():
         raise ContractViolation("a mask row has no real position, so its attention is undefined")
     plan = _packing_plan(real)
-    r = plan.n_rows
+    r, w = plan.n_rows, plan.width
+    if w > cfg.max_positions:
+        raise InputError(f"sequence length {w} exceeds max_positions {cfg.max_positions}")
     ids, segments = plan.pack(ids), plan.pack(segments)
     positions = plan.pack(np.broadcast_to(np.arange(l), (b, l)))
     # a query sees the real keys of its own span; the padding cells of a
@@ -450,9 +450,9 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
     attn_mask = (group[:, :, None] == group[:, None, :]) & keys[:, None, :]
 
     x, emb_drop = _dropout((t["embeddings.token"][ids] + t["embeddings.position"][positions]
-                            + t["embeddings.segment"][segments]).reshape(r * l, cfg.hidden),
+                            + t["embeddings.segment"][segments]).reshape(r * w, cfg.hidden),
                            p_drop, rng)
-    groups = _row_groups(r, l, cfg.hidden)
+    groups = _row_groups(r, w, cfg.hidden)
     rngs = [rng] * len(groups)
     if len(groups) > 1 and p_drop > 0.0:
         rngs = [np.random.default_rng(seed) for seed in rng.integers(1 << 63, size=len(groups))]
@@ -460,7 +460,7 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
 
     def run(g):
         lo, hi = groups[g]
-        rows = slice(lo * l, hi * l)
+        rows = slice(lo * w, hi * w)
         out[rows], layers = _layers_forward(t, cfg, x[rows], attn_mask[lo:hi], p_drop, rngs[g],
                                             return_cache)
         return layers
@@ -525,15 +525,16 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
     t = weights.tensors
     grads = zero_grads(weights) if grads is None else grads
 
-    l = d_hidden.shape[1]
-    d = cache["plan"].pack_grad(d_hidden)
+    plan = cache["plan"]
+    w = plan.width
+    d = plan.pack(d_hidden).reshape(plan.n_rows * w, -1)
     groups = cache["groups"]
     targets = [grads] + [{name: np.zeros_like(g) for name, g in grads.items()
                           if name.startswith("layer.")} for _ in groups[1:]]
 
     def run(g):
         (lo, hi), layers = groups[g]
-        rows = slice(lo * l, hi * l)
+        rows = slice(lo * w, hi * w)
         # each group reads, then overwrites, only its own rows of d
         d[rows] = _layers_backward(t, cfg, d[rows], layers, targets[g])
 
@@ -555,15 +556,12 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
 def affine_xent(hidden, labels, weight, bias):
     """Mean softmax cross-entropy of hidden @ weight + bias at the positions
     where the (B, L) labels are not IGNORE_LABEL, taken in row-major order.
-    Labels built at the encoding length are cut to hidden's width.
 
     Returns (loss, logits, d_hidden, d_weight, d_bias); loss is 0 when no
     position is labelled.
     """
     b, l, h = hidden.shape
-    if (labels[:, l:] != IGNORE_LABEL).any():
-        raise ContractViolation(f"a label lies past column {l}, the batch's real width")
-    flat_labels = labels[:, :l].reshape(-1)
+    flat_labels = labels.reshape(-1)
     sel = flat_labels != IGNORE_LABEL
     flat_hidden = hidden.reshape(b * l, h)
     rows = flat_hidden[sel]

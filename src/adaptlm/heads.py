@@ -23,7 +23,7 @@ from .data import (LabeledSentence, QAExample, RelationExample, RelationLabelSet
                    load_ner_dataset, normalized_occurrences, parse_qa_json, parse_re_tsv)
 from .encoder import (HEAD_PREFIX, IGNORE_LABEL, WeightStore, affine_xent,
                       expected_shapes, forward_arrays, init_head, train_step)
-from .errors import ConfigError, ContractViolation, FormatError, InputError, NoAnswerError
+from .errors import ConfigError, FormatError, InputError, NoAnswerError
 from .metrics import EvalReport, normalize_answer, score
 from .optimizer import AdamW, linear_schedule
 from .pretrain import seed_stream
@@ -201,8 +201,7 @@ def _task_head(weights: WeightStore, task: str, encodings, targets, span: bool =
     every position whose target is not IGNORE_LABEL: first subtokens for NER,
     position 0 for RE. A span head (QA) scores start and end positions with
     two softmaxes over each window's admissible positions, averaged over both
-    ends and the batch. Targets built at the encoding length are cut to the
-    width of the hidden states (see tokenizer.batch_arrays).
+    ends and the batch. Targets and hidden states share the encoding length.
     """
     names = (f"{HEAD_PREFIX}{task}.weight", f"{HEAD_PREFIX}{task}.bias")
     w, bias = (weights.tensors[name] for name in names)
@@ -219,11 +218,8 @@ def _task_head(weights: WeightStore, task: str, encodings, targets, span: bool =
 
     def span_head(hidden):
         b, l, h = hidden.shape
-        if admissible[:, l:].any():
-            raise ContractViolation(f"an admissible position lies past column {l}, "
-                                    "the batch's real width")
         logits = hidden @ w + bias
-        mask = np.where(admissible[:, :l], hidden.dtype.type(0), hidden.dtype.type(-1e9))
+        mask = np.where(admissible, hidden.dtype.type(0), hidden.dtype.type(-1e9))
         loss = 0.0
         d_cols = []
         for col in (0, 1):  # start, end
@@ -283,9 +279,8 @@ def _prepare_qa(examples, vocab, config, _):
 
 def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head):
     """head(hidden) row by row for every encoding, in order, computed by
-    inference forwards of at most EVAL_BATCH_SIZE rows each. A row is as wide
-    as the longest real encoding of its forward, so it covers every real
-    position of its own."""
+    inference forwards of at most EVAL_BATCH_SIZE rows each. A row keeps its
+    encoding's length, zero past its last real position."""
     for lo in range(0, len(encodings), EVAL_BATCH_SIZE):
         yield from head(forward_arrays(weights, *batch_arrays(encodings[lo:lo + EVAL_BATCH_SIZE])))
 

@@ -163,14 +163,11 @@ def layernorm_backward(dy, x, gamma, mean, rstd):
 def attention_softmax(scores, key_mask):
     """Row softmax of (batch, heads, q, k) scores; masked keys get exact weight 0.
 
-    key_mask marks with a nonzero (or True) entry the keys a query may see:
-    (batch, k), the same keys for every query of a row, or (batch, q, k), one
-    set per query. Every query needs at least one; encoder.forward_arrays
-    ensures that.
+    key_mask is a boolean (batch, q, k) array, True at the keys each query
+    may see. Every query needs at least one; encoder.forward_arrays ensures
+    that.
     """
-    keep = key_mask if key_mask.dtype == np.bool_ else key_mask > 0
-    keep = keep[:, None, None, :] if keep.ndim == 2 else keep[:, None]
-    probs = np.where(keep, scores, -np.inf)
+    probs = np.where(key_mask[:, None], scores, -np.inf)
     probs -= _row_max(probs)
     np.exp(probs, out=probs)  # exp(-inf) is exactly 0
     probs /= probs.sum(axis=-1, keepdims=True)

@@ -105,21 +105,11 @@ def check_bio(tags: list[str]) -> None:
 
 
 def bio_to_bioes(tags: list[str]) -> list[str]:
-    """Convert valid BIO to BIOES, preserving the span set exactly."""
+    """Convert valid BIO to BIOES, preserving the span set exactly: on valid
+    BIO, repair_bioes closes each entity where the next tag does not
+    continue it."""
     check_bio(list(tags))
-    out = list(tags)
-    n = len(out)
-    for i, tag in enumerate(tags):
-        kind, typ = parse_tag(tag)
-        if kind == O_TAG:
-            continue
-        nxt = parse_tag(tags[i + 1]) if i + 1 < n else (O_TAG, None)
-        continues = nxt[0] == "I" and nxt[1] == typ
-        if kind == "B":
-            out[i] = make_tag("B" if continues else "S", typ)
-        else:  # I
-            out[i] = make_tag("I" if continues else "E", typ)
-    return out
+    return repair_bioes(tags)
 
 
 def bioes_to_bio(tags: list[str]) -> list[str]:

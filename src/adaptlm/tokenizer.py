@@ -8,9 +8,8 @@ string like "@GENE$" splits deterministically into "@", "GENE", "$".
 
 Every EncodedInput (single texts, text pairs, pretraining segments and QA
 windows) is laid out by _pack as [CLS] A [SEP] (B [SEP]) plus padding to the
-encoding's max_len. batch_arrays stacks a batch and cuts it after its last
-real column, so the encoder never computes on a column that is padding in
-every row; the encoder then packs the rows' real spans together (see
+encoding's max_len. batch_arrays stacks a batch at that length; the encoder
+packs the rows' real spans together and computes on nothing else (see
 encoder.forward_arrays).
 """
 
@@ -101,8 +100,8 @@ def wordpiece_split(word: str, vocab: Vocabulary) -> list[str]:
 @dataclass(frozen=True)
 class EncodedInput:
     """One packed (possibly paired) sequence, padded to a fixed length.
-    Per-position targets built from it keep that length; batch_arrays cuts
-    the batch to its real width.
+    Per-position targets built from it keep that length, as do the encoder's
+    states.
 
     Parallel per-position fields:
       ids        vocabulary ids (int32)
@@ -273,14 +272,6 @@ def stack_fields(batch: list[EncodedInput], names) -> tuple[np.ndarray, ...]:
 
 
 def batch_arrays(batch: list[EncodedInput]):
-    """Stack a batch into (ids, segments, mask) int32 arrays of shape (B, W).
-
-    W is one past the last column that is real in any row, so columns that
-    are padding in every row are cut; the encoding length when no position
-    is real. A per-position target built at the encoding length meets the
-    encoder's states at width W.
-    """
-    ids, segments, mask = stack_fields(batch, ("ids", "segments", "mask"))
-    real = np.flatnonzero(mask.any(axis=0))
-    width = int(real[-1]) + 1 if real.size else mask.shape[1]
-    return ids[:, :width], segments[:, :width], mask[:, :width]
+    """Stack a batch into the (ids, segments, mask) int32 arrays of shape
+    (B, L) that encoder.forward_arrays takes."""
+    return stack_fields(batch, ("ids", "segments", "mask"))

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from adaptlm.data import (LabeledSentence, QAExample, RelationLabelSet,
                           parse_re_tsv, write_conll, write_qa_json, write_re_tsv)
 from adaptlm.errors import ConfigError, FormatError, InputError, RecipeError
 from adaptlm.fixtures import FixtureRecipe, generate_fixtures, parse_recipe
-from adaptlm.tags import bio_to_bioes, bioes_to_bio
+from adaptlm.tags import bio_to_bioes, bioes_to_bio, check_bio
 from adaptlm.metrics import spans_from_tags
 
 
@@ -134,6 +135,44 @@ def test_bioes_bio_roundtrip_preserves_spans(rng):
         tags = _random_bioes(rng)
         assert bio_to_bioes(bioes_to_bio(tags)) == tags
         assert spans_from_tags(tags) == spans_from_tags(bio_to_bioes(bioes_to_bio(tags)))
+
+
+def _valid_bioes_sequences(n, types=("D", "G")):
+    """Every valid BIOES sequence of length n over the types."""
+    def extend(prefix, open_type):
+        if len(prefix) == n:
+            if open_type is None:
+                yield prefix
+            return
+        if open_type is None:
+            yield from extend(prefix + ["O"], None)
+            for typ in types:
+                yield from extend(prefix + [f"S-{typ}"], None)
+                yield from extend(prefix + [f"B-{typ}"], typ)
+        else:
+            yield from extend(prefix + [f"I-{open_type}"], open_type)
+            yield from extend(prefix + [f"E-{open_type}"], None)
+    return list(extend([], None))
+
+
+def _is_valid_bio(tags):
+    try:
+        check_bio(list(tags))
+    except InputError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bio_to_bioes_inverts_bioes_to_bio_on_every_short_sequence(n):
+    bioes_all = _valid_bioes_sequences(n)
+    bio_all = [bioes_to_bio(tags) for tags in bioes_all]
+    # the BIO images are exactly the valid BIO sequences of length n
+    kinds = ["O", "B-D", "I-D", "B-G", "I-G"]
+    valid_bio = {seq for seq in itertools.product(kinds, repeat=n) if _is_valid_bio(seq)}
+    assert {tuple(bio) for bio in bio_all} == valid_bio and len(valid_bio) == len(bio_all)
+    for bioes, bio in zip(bioes_all, bio_all):
+        assert bio_to_bioes(bio) == bioes
 
 
 # --- relation TSV ---

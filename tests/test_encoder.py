@@ -161,14 +161,16 @@ def test_forward_attention_matches_reference_per_row_and_head(toy_vocab):
 def test_forward_output_shapes(tiny_weights, toy_vocab):
     batch = [encode_sequence("a b c", None, toy_vocab, 10),
              encode_sequence("d e", None, toy_vocab, 10)]
-    # the batch is cut after its longest real row, [CLS] a b c [SEP]
-    assert forward_arrays(tiny_weights, *batch_arrays(batch)).shape == (2, 5, 8)
+    # the states keep the encoding length, zero past each row's real span
+    states = forward_arrays(tiny_weights, *batch_arrays(batch))
+    assert states.shape == (2, 10, 8)
+    assert (states[0, 5:] == 0).all() and (states[1, 4:] == 0).all()
+    assert (states[0, :5] != 0).any(axis=1).all()
 
 
 def test_forward_padding_does_not_leak(tiny_weights, toy_vocab):
     short = encode_sequence("a b c", None, toy_vocab, 6)
     long = encode_sequence("a b c", None, toy_vocab, 12)
-    # the encodings as padded, not cut to their real width by batch_arrays
     out_short = forward_arrays(tiny_weights, short.ids[None], short.segments[None],
                                short.mask[None])
     out_long = forward_arrays(tiny_weights, long.ids[None], long.segments[None],

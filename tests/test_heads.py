@@ -507,11 +507,11 @@ def test_predict_qa_batches_windows_across_examples(ft_vocab, ft_init, monkeypat
     predicted = predict_qa(weights, examples, ft_vocab, config)
     monkeypatch.undo()
 
-    # two forwards, each as wide as the longest real window it holds
-    flat = [w for ex_windows in windows for w in ex_windows]
-    chunks = [flat[:heads.EVAL_BATCH_SIZE], flat[heads.EVAL_BATCH_SIZE:]]
+    # two forwards at the encoding length
+    n_windows = sum(counts)
     assert [h.shape[:2] for h in batched] == [
-        (len(chunk), max(w.real_length for w in chunk)) for chunk in chunks]
+        (heads.EVAL_BATCH_SIZE, config.max_len),
+        (n_windows - heads.EVAL_BATCH_SIZE, config.max_len)]
     batched_rows = (row for hidden in batched for row in head_logits(hidden, weights, "qa", 2))
     expected = []
     for ex_windows in windows:
@@ -519,9 +519,8 @@ def test_predict_qa_batches_windows_across_examples(ft_vocab, ft_init, monkeypat
         for window in ex_windows:
             alone = forward_arrays(weights, *batch_arrays([window]))
             logits = head_logits(alone, weights, "qa", 2)[0]
-            assert logits.shape == (window.real_length, 2)
-            np.testing.assert_allclose(next(batched_rows)[:window.real_length], logits,
-                                       rtol=1e-5, atol=1e-5)
+            assert logits.shape == (config.max_len, 2)
+            np.testing.assert_allclose(next(batched_rows), logits, rtol=1e-5, atol=1e-5)
             _, ranked = extract_span(logits[:, 0], logits[:, 1], window,
                                      config.max_answer_subtokens, config.n_best)
             candidates.extend(ranked)

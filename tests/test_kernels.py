@@ -60,11 +60,17 @@ def test_layernorm_backward_matches_finite_differences(rng):
     _assert_grad(dbeta, _numeric_grad(loss, beta))
 
 
+def _key_mask(keys, n_queries):
+    """A (batch, k) key set as the boolean (batch, q, k) mask every query shares."""
+    return np.broadcast_to(keys[:, None, :], (keys.shape[0], n_queries, keys.shape[1]))
+
+
 def test_attention_softmax_backward_matches_finite_differences(rng):
     scores = rng.standard_normal((2, 2, 3, 5))
-    mask = np.ones((2, 5))
-    mask[0, 3] = 0
-    mask[1, 4] = 0
+    keys = np.ones((2, 5), dtype=bool)
+    keys[0, 3] = False
+    keys[1, 4] = False
+    mask = _key_mask(keys, 3)
     dprobs = rng.standard_normal(scores.shape)
     numeric = _numeric_grad(lambda: float((dprobs * K.attention_softmax(scores, mask)).sum()),
                             scores)
@@ -109,9 +115,9 @@ def test_layernorm_normalizes_pre_scale_shift(rng):
 
 def test_softmax_rows_sum_to_one_under_mask(rng):
     scores = rng.standard_normal((2, 3, 6, 6))
-    mask = np.ones((2, 6))
-    mask[1, 4:] = 0
-    probs = K.attention_softmax(scores, mask)
+    keys = np.ones((2, 6), dtype=bool)
+    keys[1, 4:] = False
+    probs = K.attention_softmax(scores, _key_mask(keys, 6))
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
     assert probs[1, :, :, 4:].max() == 0.0
 
@@ -136,7 +142,7 @@ def _tiny_kernel_args(rng):
     heads and the optimizer pass them."""
     x = rng.standard_normal((6, 4))
     scores = rng.standard_normal((2, 2, 3, 3))
-    probs = K.attention_softmax(scores, np.ones((2, 3)))
+    probs = K.attention_softmax(scores, np.ones((2, 3, 3), dtype=bool))
     _, mean, rstd = K.layernorm_forward(x, np.ones(4), np.zeros(4), 1e-12)
     flat = rng.standard_normal(5)
     return {

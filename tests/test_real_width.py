@@ -1,28 +1,25 @@
-"""The encoder computes only on real columns: tokenizer.batch_arrays cuts each
-batch after its last real column, the encoder packs short rows together, and
-every result equals the computation on the padded arrays, or on each row
-alone."""
+"""The encoder computes only on real columns: it packs the rows' real spans
+into rows as wide as the longest span, so every result equals the
+computation on a shorter encoding of the same batch, or on each row alone."""
 
-import ast
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adaptlm import encoder, fixtures, pretrain
+from adaptlm import fixtures, pretrain
 from adaptlm.data import LabeledSentence, QAExample, RelationExample, RelationLabelSet
-from adaptlm.encoder import (IGNORE_LABEL, EncoderConfig, affine_xent, backward_arrays,
+from adaptlm.encoder import (EncoderConfig, _packing_plan, affine_xent, backward_arrays,
                              forward_arrays, init_head, train_step, zero_grads)
-from adaptlm.errors import ContractViolation
+from adaptlm.errors import InputError
 from adaptlm.heads import TASKS, FinetuneConfig
 from adaptlm.pretrain import MaskingPolicy, PretrainConfig, apply_masking, mlm_step_grads
 from adaptlm.tags import TagScheme
-from adaptlm.tokenizer import batch_arrays, encode_sequence, stack_fields
+from adaptlm.tokenizer import batch_arrays, encode_sequence
 from adaptlm.vocab import load_vocabulary_file
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "adaptlm"
 MAX_LEN = 12  # the tiny encoder's max_positions; every batch below is shorter
+SHORT_LEN = 8  # holds every real encoding of DATA and the MLM batch, untruncated
 
 DATA = {
     "ner": ([LabeledSentence(("a", "b", "c", "d", "e"), ("B-G", "E-G", "O", "O", "S-G")),
@@ -35,49 +32,50 @@ DATA = {
 }
 
 
-def padded_arrays(batch):
-    """(ids, segments, mask) at the encoding length, as stacked before the cut."""
-    return stack_fields(batch, ("ids", "segments", "mask"))
-
-
-def _task_batch(task, weights, vocab, data=DATA):
+def _task_batch(task, weights, vocab, data=DATA, max_len=MAX_LEN):
     """(encodings, head) of one fine-tuning batch of the task, with a head."""
     data, space = data[task]
     spec = TASKS[task]
     weights.tensors.update(init_head(weights.config, task, spec.width(space), seed=3))
-    encodings, targets = zip(*spec.prepare(data, vocab, FinetuneConfig(max_len=MAX_LEN), space))
+    encodings, targets = zip(*spec.prepare(data, vocab, FinetuneConfig(max_len=max_len), space))
     return encodings, spec.head(weights, task, encodings, targets)
 
 
-def _loss_and_grads(task, weights, vocab):
-    """The loss and gradients of one train_step on a mixed-length batch."""
+def _loss_and_grads(task, weights, vocab, max_len):
+    """The loss and gradients of one train_step on a mixed-length batch
+    encoded at max_len."""
     if task == "mlm":
-        batch = [encode_sequence(t, None, vocab, MAX_LEN) for t in ("a b c d e f", "g h", "i j a")]
-        assert batch_arrays(batch)[0].shape == (3, 8)
-        masked = apply_masking(batch, MaskingPolicy(mask_fraction=0.5, seed=2), vocab)
+        texts = ("a b c d e f", "g h", "i j a")
+        # the draws depend on the length they are made at, so both lengths
+        # take the ones made at MAX_LEN
+        masked = apply_masking([encode_sequence(t, None, vocab, MAX_LEN) for t in texts],
+                               MaskingPolicy(mask_fraction=0.5, seed=2), vocab)
+        batch = [encode_sequence(t, None, vocab, max_len).with_ids(item.ids[:max_len])
+                 for t, item in zip(texts, masked.inputs)]
+        assert batch_arrays(batch)[0].shape == (3, max_len)
+        masked = replace(masked, inputs=batch, labels=masked.labels[:, :max_len])
         loss, _, grads = mlm_step_grads(masked, weights)
         return loss, grads
-    encodings, head = _task_batch(task, weights, vocab)
+    encodings, head = _task_batch(task, weights, vocab, max_len=max_len)
     return train_step(weights, encodings, head, train=False)
 
 
-def test_batch_arrays_cuts_after_the_last_real_column(toy_vocab):
+def test_plan_width_is_one_past_the_last_real_column(toy_vocab):
     short = encode_sequence("a b", None, toy_vocab, MAX_LEN)  # 4 real positions
     holed = encode_sequence("c", None, toy_vocab, MAX_LEN)
     mask = holed.mask.copy()
     mask[6] = 1  # real again after a gap: the mask is not a prefix
-    batch = [short, replace(holed, mask=mask)]
-    cut, padded = batch_arrays(batch), padded_arrays(batch)
-    assert [a.shape for a in cut] == [(2, 7)] * 3
-    for got, full in zip(cut, padded):
-        np.testing.assert_array_equal(got, full[:, :7])
+    ids, _, mask = batch_arrays([short, replace(holed, mask=mask)])
+    assert ids.shape == (2, MAX_LEN)
+    plan = _packing_plan(mask > 0)
+    assert plan.width == 7
+    assert plan.spans.tolist() == [4, 7] and plan.n_rows == 2
 
 
 @pytest.mark.parametrize("task", ["mlm", "ner", "re", "qa"])
-def test_cut_and_padded_batches_train_alike(task, tiny_weights, toy_vocab, monkeypatch):
-    loss, grads = _loss_and_grads(task, tiny_weights, toy_vocab)
-    monkeypatch.setattr(encoder, "batch_arrays", padded_arrays)
-    padded_loss, padded_grads = _loss_and_grads(task, tiny_weights, toy_vocab)
+def test_cut_and_padded_batches_train_alike(task, tiny_weights, toy_vocab):
+    loss, grads = _loss_and_grads(task, tiny_weights, toy_vocab, SHORT_LEN)
+    padded_loss, padded_grads = _loss_and_grads(task, tiny_weights, toy_vocab, MAX_LEN)
     assert loss == pytest.approx(padded_loss, rel=1e-6)
     assert grads.keys() == padded_grads.keys()
     for name, grad in grads.items():
@@ -87,68 +85,33 @@ def test_cut_and_padded_batches_train_alike(task, tiny_weights, toy_vocab, monke
 
 @pytest.mark.parametrize("task", ["ner", "re", "qa"])
 def test_cut_and_padded_batches_give_the_same_states(task, tiny_weights, toy_vocab):
+    short, _ = _task_batch(task, tiny_weights, toy_vocab, max_len=SHORT_LEN)
     encodings, _ = _task_batch(task, tiny_weights, toy_vocab)
     assert len({e.real_length for e in encodings}) > 1
+    assert [e.real_length for e in short] == [e.real_length for e in encodings]
+    short_states = forward_arrays(tiny_weights, *batch_arrays(short))
     ids, segments, mask = batch_arrays(encodings)
-    width = max(e.real_length for e in encodings)
-    assert ids.shape == (len(encodings), width) and width < MAX_LEN
-    cut = forward_arrays(tiny_weights, ids, segments, mask)
-    padded = forward_arrays(tiny_weights, *padded_arrays(encodings))
+    padded = forward_arrays(tiny_weights, ids, segments, mask)
+    assert short_states.shape[1] == SHORT_LEN and padded.shape[1] == MAX_LEN
     real = mask == 1
-    np.testing.assert_allclose(cut[real], padded[:, :width][real], rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(short_states[real[:, :SHORT_LEN]], padded[real],
+                               rtol=1e-5, atol=1e-6)
+    assert (padded[~real] == 0).all()
 
 
-def test_a_label_past_the_cut_is_a_contract_violation(tiny_weights):
-    hidden = np.zeros((2, 5, tiny_weights.config.hidden), dtype=np.float32)
-    labels = np.full((2, MAX_LEN), IGNORE_LABEL)
-    labels[1, 5] = 1
-    weight, bias = np.zeros((tiny_weights.config.hidden, 3), np.float32), np.zeros(3, np.float32)
-    with pytest.raises(ContractViolation, match="past column 5"):
-        affine_xent(hidden, labels, weight, bias)
-    labels[1, 5] = IGNORE_LABEL
-    labels[1, 4] = 1
-    assert affine_xent(hidden, labels, weight, bias)[0] == pytest.approx(np.log(3))
-
-
-def test_an_admissible_position_past_the_cut_is_a_contract_violation(tiny_weights, toy_vocab):
-    encodings, head = _task_batch("qa", tiny_weights, toy_vocab)
-    hidden = forward_arrays(tiny_weights, *batch_arrays(encodings))
-    head(hidden)
-    with pytest.raises(ContractViolation, match="past column 6"):
-        head(hidden[:, :6])
-
-
-def _calls(node, name: str) -> bool:
-    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
-                                                   getattr(node.func, "attr", None))
-
-
-def _uncut_forwards(tree: ast.Module, module: str) -> list[str]:
-    """module:line of each forward_arrays call whose arrays are not given as
-    *batch_arrays(...)."""
-    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
-            if _calls(node, "forward_arrays") and not (
-                len(node.args) == 2 and isinstance(node.args[1], ast.Starred)
-                and _calls(node.args[1].value, "batch_arrays"))]
-
-
-def test_every_forward_in_the_package_takes_cut_arrays():
-    hits, n_forwards = [], 0
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        n_forwards += sum(_calls(node, "forward_arrays") for node in ast.walk(tree))
-        hits += _uncut_forwards(tree, path.name)
-    assert hits == []
-    assert n_forwards == 3  # training, MLM scoring and task inference
-
-
-def test_the_guard_sees_an_uncut_forward():
-    tree = ast.parse("h = forward_arrays(w, *batch_arrays(b))\n"
-                     "h = encoder.forward_arrays(w, ids, segments, mask)\n"
-                     "arrays = batch_arrays(b)\n"
-                     "h = forward_arrays(w, *arrays)\n"
-                     "h = forward_arrays(w, *stack_fields(b, names), train=True)\n")
-    assert _uncut_forwards(tree, "m.py") == ["m.py:2", "m.py:4", "m.py:5"]
+def test_spans_up_to_max_positions_run_inside_wider_arrays(tiny_weights):
+    """max_positions bounds the longest span, not the width of the arrays."""
+    limit = tiny_weights.config.max_positions
+    ids = np.full((2, limit + 8), 5)
+    mask = np.zeros_like(ids)
+    mask[0, :limit] = 1
+    mask[1, :3] = 1
+    states = forward_arrays(tiny_weights, ids, np.zeros_like(ids), mask)
+    assert states.shape == (2, limit + 8, tiny_weights.config.hidden)
+    assert (states[0, limit:] == 0).all() and (states[1, 3:] == 0).all()
+    mask[1, limit] = 1  # a span of limit + 1 columns
+    with pytest.raises(InputError, match=f"sequence length {limit + 1} exceeds"):
+        forward_arrays(tiny_weights, ids, np.zeros_like(ids), mask)
 
 
 # ------------------------------------------------------------------ packing
@@ -256,9 +219,8 @@ def test_a_query_gives_no_weight_to_another_span(tiny_weights, toy_vocab):
              for t in ("a b c d e f g h", "a", "b c", "d")]
     ids, segments, mask = batch_arrays(batch)
     plan, probs = _packed_probs(tiny_weights, ids, segments, mask)
-    assert plan.n_rows == 2
-    width = ids.shape[1]
-    group = np.full((plan.n_rows, width), -1)
+    assert plan.n_rows == 2 and plan.width == 10  # [CLS] a b c d e f g h [SEP]
+    group = np.full((plan.n_rows, plan.width), -1)
     for row, (r, start, n) in enumerate(zip(plan.rows, plan.offsets, plan.spans)):
         group[r, start:start + n] = row
     for layer_probs in probs:
