@@ -19,6 +19,17 @@ restarting at 0 per span and a block-diagonal attention mask (Krell et al.,
 arXiv 2107.02027). Callers pass and get back the (B, L) layout at the
 encoding length; the packed one lives only inside forward and backward.
 
+The caller also says which positions it reads (read: the MLM targets, a
+label head's labelled positions, position 0 for relation inference), and
+the last layer computes its outputs only there: keys and values at every
+packed cell, but queries, attention, the output projection, both layer
+norms and the feed-forward block only at each packed row's read columns,
+padded to the batch's largest per-row count with that row's unread
+columns (_read_columns). This is sparse token prediction (Izsak et al.,
+arXiv 2104.07705) one layer deeper: the MLM loss scores about 15% of the
+tokens, so most of the last layer's work was never read. The returned
+states are zero outside the read positions.
+
 A large batch then splits its R packed rows into two groups, [0, ceil(R/2))
 and the rest, and runs the layer stack of each on its own thread
 (_row_groups, _in_groups); attention never crosses a packed row, so the
@@ -291,7 +302,7 @@ def _dropout(x, p, rng):
     if p == 0.0:
         return x, None
     keep = rng.random(x.shape, dtype=np.float32) >= p
-    mask = np.where(keep, x.dtype.type(1.0 / (1.0 - p)), x.dtype.type(0))
+    mask = keep * x.dtype.type(1.0 / (1.0 - p))
     return x * mask, mask
 
 
@@ -366,24 +377,46 @@ def _in_groups(fn, n):
     return [first] + [f.result() for f in futures]
 
 
-def _layers_forward(t, cfg, x, attn_mask, p_drop, rng, keep_cache):
+def _read_columns(read):
+    """(cols, keep) for an (R, W) mask of the packed cells a caller reads:
+    cols holds each packed row's read columns, ascending, then its unread
+    ones, cut to the largest per-row read count m; keep marks which of those
+    m are read. Every row's columns are distinct, so the last layer's
+    backward can scatter its query rows back with one assignment, and every
+    one is a cell of the row, so each query still sees some key."""
+    m = int(read.sum(axis=1).max())
+    cols = np.argsort(~read, axis=1, kind="stable")[:, :m]
+    return cols, np.take_along_axis(read, cols, axis=1)
+
+
+def _layers_forward(t, cfg, x, attn_mask, cols, keep, out, p_drop, rng, keep_cache):
     """The layer stack over one group of packed rows: x holds their (rows·W,
-    hidden) embeddings, attn_mask their (rows, W, W) mask. Returns the
-    last-layer rows and, with keep_cache, the per-layer backprop cache."""
-    r = attn_mask.shape[0]
+    hidden) embeddings, attn_mask their (rows, W, W) mask, and cols and keep
+    their (rows, m) read columns (_read_columns). Every layer but the last
+    computes at every cell; the last computes keys and values at every cell
+    and everything else at the read columns only. Writes the last-layer
+    states at the read cells into out, their zero-filled (rows·W, hidden)
+    rows, and returns the per-layer backprop cache (empty without
+    keep_cache)."""
+    r, w = attn_mask.shape[:2]
     scale = t["embeddings.token"].dtype.type(1.0 / math.sqrt(cfg.head_dim))
+    read = (np.arange(r)[:, None] * w + cols).reshape(-1)
+    # (query rows, their key mask) of each layer
+    queries = [(slice(None), attn_mask)] * (cfg.layers - 1)
+    queries.append((read, attn_mask.reshape(r * w, w)[read].reshape(r, -1, w)))
     layers = []
-    for i in range(cfg.layers):
+    for i, (q, q_mask) in enumerate(queries):
         p = f"layer.{i}"
-        x_in = x
-        qh, kh, vh = (_split_heads(_affine(x, t, f"{p}.attention.{proj}"), r, cfg.heads)
-                      for proj in ("query", "key", "value"))
+        x_in, x_q = x, x[q]
+        qh = _split_heads(_affine(x_q, t, f"{p}.attention.query"), r, cfg.heads)
+        kh, vh = (_split_heads(_affine(x, t, f"{p}.attention.{proj}"), r, cfg.heads)
+                  for proj in ("key", "value"))
         scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-        probs = kernels.attention_softmax(scores, attn_mask)
+        probs = kernels.attention_softmax(scores, q_mask)
         probs_used, attn_drop = _dropout(probs, p_drop, rng)
         ctx = _merge_heads(probs_used @ vh)
         attn, attn_out_drop = _dropout(_affine(ctx, t, f"{p}.attention.output"), p_drop, rng)
-        x1, norm1 = _layernorm(x + attn, t, f"{p}.attention.norm", cfg.layernorm_epsilon)
+        x1, norm1 = _layernorm(x_q + attn, t, f"{p}.attention.norm", cfg.layernorm_epsilon)
 
         h1 = _affine(x1, t, f"{p}.ffn.intermediate")
         a = kernels.gelu_forward(h1)
@@ -391,19 +424,22 @@ def _layers_forward(t, cfg, x, attn_mask, p_drop, rng, keep_cache):
         x, norm2 = _layernorm(x1 + h2, t, f"{p}.ffn.norm", cfg.layernorm_epsilon)
 
         if keep_cache:
-            layers.append(dict(x_in=x_in, qh=qh, kh=kh, vh=vh, probs=probs,
+            layers.append(dict(x_in=x_in, q=q, x_q=x_q, qh=qh, kh=kh, vh=vh, probs=probs,
                                probs_used=probs_used, attn_drop=attn_drop, ctx=ctx,
                                attn_out_drop=attn_out_drop, norm1=norm1, x1=x1, h1=h1,
                                a=a, ffn_drop=ffn_drop, norm2=norm2))
-    return x, layers
+    out[read] = x * keep.reshape(-1, 1)
+    return layers
 
 
-def forward_arrays(weights: WeightStore, ids, segments, mask, *,
+def forward_arrays(weights: WeightStore, ids, segments, mask, *, read=None,
                    train: bool = False, rng: np.random.Generator | None = None,
                    return_cache: bool = False):
     """Run the encoder over (B, L) int arrays. Returns the (B, L, hidden)
-    last-layer states, zero past each row's last real column, or (states,
-    backprop cache) when return_cache is set.
+    last-layer states at the positions of the (B, L) bool array read, zero
+    elsewhere, or (states, backprop cache) when return_cache is set. read
+    names the positions whose states the caller uses; None means every real
+    position, and a read position past its row's last real column reads 0.
 
     Rows are packed first: each row's span (up to its last real column) is
     placed by _packing_plan into R <= B rows of width W, the longest span,
@@ -412,7 +448,10 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
     alone, up to float32 rounding, and no column past W is computed on.
     Between the embeddings and the output the states are (R·W, hidden) rows,
     so each affine map is one matrix product; only attention splits them by
-    packed row and head. A large batch then runs the layer stack in two
+    packed row and head. The last layer computes its queries, attention,
+    output projection, layer norms and feed-forward block only at each
+    packed row's read columns (_read_columns), chosen over all packed rows
+    before they are split. A large batch then runs the layer stack in two
     groups of packed rows, side by side (_row_groups).
 
     train=True applies inverted dropout (embeddings, attention probabilities,
@@ -446,8 +485,11 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
     # a query sees the real keys of its own span; the padding cells of a
     # packed row form one more group, so every query sees some key
     group = plan.pack(np.broadcast_to(np.arange(b)[:, None], (b, l)), fill=-1)
-    keys = plan.pack(real, fill=False) | (group < 0)
+    packed_real = plan.pack(real, fill=False)
+    keys = packed_real | (group < 0)
     attn_mask = (group[:, :, None] == group[:, None, :]) & keys[:, None, :]
+    cols, keep = _read_columns(packed_real if read is None
+                               else plan.pack(np.asarray(read, dtype=bool), fill=False))
 
     x, emb_drop = _dropout((t["embeddings.token"][ids] + t["embeddings.position"][positions]
                             + t["embeddings.segment"][segments]).reshape(r * w, cfg.hidden),
@@ -456,21 +498,20 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *,
     rngs = [rng] * len(groups)
     if len(groups) > 1 and p_drop > 0.0:
         rngs = [np.random.default_rng(seed) for seed in rng.integers(1 << 63, size=len(groups))]
-    out = np.empty_like(x)
+    out = np.zeros_like(x)
 
     def run(g):
         lo, hi = groups[g]
         rows = slice(lo * w, hi * w)
-        out[rows], layers = _layers_forward(t, cfg, x[rows], attn_mask[lo:hi], p_drop, rngs[g],
-                                            return_cache)
-        return layers
+        return _layers_forward(t, cfg, x[rows], attn_mask[lo:hi], cols[lo:hi], keep[lo:hi],
+                               out[rows], p_drop, rngs[g], return_cache)
 
     layers = _in_groups(run, len(groups))
     hidden = plan.unpack(out, b, l)
     if not return_cache:
         return hidden
     return hidden, {"plan": plan, "ids": ids, "segments": segments, "positions": positions,
-                    "emb_drop": emb_drop, "groups": list(zip(groups, layers))}
+                    "emb_drop": emb_drop, "keep": keep, "groups": list(zip(groups, layers))}
 
 
 def zero_grads(weights: WeightStore) -> dict[str, np.ndarray]:
@@ -479,11 +520,13 @@ def zero_grads(weights: WeightStore) -> dict[str, np.ndarray]:
             if not name.startswith(HEAD_PREFIX)}
 
 
-def _layers_backward(t, cfg, d, layers, grads):
+def _layers_backward(t, cfg, d, keep, layers, grads):
     """Backpropagate d(loss)/d(last-layer rows) of one group through the layer
-    stack; accumulate the layer grads into grads and return d(embedding rows)."""
+    stack, reading d at the group's read cells only (keep as the forward took
+    it); accumulate the layer grads into grads and return d(embedding rows)."""
     scale = t["embeddings.token"].dtype.type(1.0 / math.sqrt(cfg.head_dim))
     r = layers[0]["qh"].shape[0]
+    d = d[layers[-1]["q"]] * keep.reshape(-1, 1)
     for i in reversed(range(cfg.layers)):
         p = f"layer.{i}"
         lc = layers[i]
@@ -504,8 +547,12 @@ def _layers_backward(t, cfg, d, layers, grads):
         d_qh = d_scores @ lc["kh"]
         d_kh = d_scores.transpose(0, 1, 3, 2) @ lc["qh"]
 
-        d = d_res1
-        for proj, d_ph in (("query", d_qh), ("key", d_kh), ("value", d_vh)):
+        d_x_q = d_res1 + _affine_backward(_merge_heads(d_qh), lc["x_q"], t,
+                                          f"{p}.attention.query", grads)
+        # the query rows are distinct, so one assignment scatters them back
+        d = np.zeros_like(lc["x_in"])
+        d[lc["q"]] = d_x_q
+        for proj, d_ph in (("key", d_kh), ("value", d_vh)):
             d = d + _affine_backward(_merge_heads(d_ph), lc["x_in"], t,
                                      f"{p}.attention.{proj}", grads)
     return d
@@ -536,7 +583,7 @@ def backward_arrays(weights: WeightStore, cache, d_hidden,
         (lo, hi), layers = groups[g]
         rows = slice(lo * w, hi * w)
         # each group reads, then overwrites, only its own rows of d
-        d[rows] = _layers_backward(t, cfg, d[rows], layers, targets[g])
+        d[rows] = _layers_backward(t, cfg, d[rows], cache["keep"][lo:hi], layers, targets[g])
 
     _in_groups(run, len(groups))
     for extra in targets[1:]:
@@ -576,18 +623,21 @@ def affine_xent(hidden, labels, weight, bias):
 
 
 def train_step(weights: WeightStore, inputs: list[EncodedInput], head,
-               grads: dict[str, np.ndarray] | None = None, *,
+               grads: dict[str, np.ndarray] | None = None, *, read=None,
                train: bool = True, rng: np.random.Generator | None = None):
     """Loss and gradients of one batch: forward, task head, backward.
 
-    head(hidden) returns (loss, d_hidden, head_grads), where head_grads maps
+    read is the (B, L) bool array of the positions head reads, as
+    forward_arrays takes it (None: every real position); the states head
+    gets are zero elsewhere, and its d_hidden there is ignored. head(hidden)
+    returns (loss, d_hidden, head_grads), where head_grads maps
     the tensors the head reads (its own head.<task>.* tensors, or core ones
     such as the tied token embeddings) to their gradients. The gradients
     accumulate into grads, zero-filled by the caller (AdamW.zero_grads), or
     into fresh arrays for every core tensor plus those the head names.
     Returns (loss, grads), loss as the head returned it.
     """
-    hidden, cache = forward_arrays(weights, *batch_arrays(inputs),
+    hidden, cache = forward_arrays(weights, *batch_arrays(inputs), read=read,
                                    train=train, rng=rng, return_cache=True)
     loss, d_hidden, head_grads = head(hidden)
     grads = zero_grads(weights) if grads is None else grads

@@ -232,6 +232,11 @@ def _task_head(weights: WeightStore, task: str, encodings, targets, span: bool =
     return span_head
 
 
+def _labelled(targets):
+    """The positions a label head scores: every target not IGNORE_LABEL."""
+    return np.stack(targets) != IGNORE_LABEL
+
+
 def _prepare_ner(sentences, vocab, config, scheme):
     """(encoding, per-position tag ids) pairs, as align_labels gives them."""
     encodings = [encode_sequence(" ".join(s.words), None, vocab, config.max_len)
@@ -277,20 +282,26 @@ def _prepare_qa(examples, vocab, config, _):
     return items
 
 
-def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head):
+def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head, read=None):
     """head(hidden) row by row for every encoding, in order, computed by
     inference forwards of at most EVAL_BATCH_SIZE rows each. A row keeps its
-    encoding's length, zero past its last real position."""
+    encoding's length and is zero outside the positions of its row of the
+    (N, L) bool array read (None: its real positions)."""
     for lo in range(0, len(encodings), EVAL_BATCH_SIZE):
-        yield from head(forward_arrays(weights, *batch_arrays(encodings[lo:lo + EVAL_BATCH_SIZE])))
+        hi = lo + EVAL_BATCH_SIZE
+        yield from head(forward_arrays(weights, *batch_arrays(encodings[lo:hi]),
+                                       read=None if read is None else read[lo:hi]))
 
 
 def predict_ner(weights: WeightStore, sentences: list[LabeledSentence],
                 vocab: Vocabulary, scheme: TagScheme, max_len: int) -> list[list[str]]:
     encodings = [encode_sequence(" ".join(s.words), None, vocab, max_len)
                  for s in sentences]
+    read = np.zeros((len(encodings), max_len), dtype=bool)  # first subtokens, as ner_decode
+    for row, enc in zip(read, encodings):
+        row[first_subtokens(enc)[1]] = True
     logits = _batched_logits(weights, encodings,
-                             lambda hidden: head_logits(hidden, weights, "ner", len(scheme)))
+                             lambda hidden: head_logits(hidden, weights, "ner", len(scheme)), read)
     return [ner_decode(row, enc, scheme, len(s.words))
             for row, enc, s in zip(logits, encodings, sentences)]
 
@@ -299,7 +310,8 @@ def predict_re(weights: WeightStore, examples: list[RelationExample],
                vocab: Vocabulary, labels: RelationLabelSet, max_len: int) -> list[str]:
     encodings = [encode_sequence(ex.sentence, None, vocab, max_len) for ex in examples]
     logits = _batched_logits(weights, encodings, lambda hidden: head_logits(
-        np.ascontiguousarray(hidden[:, 0]), weights, "re", len(labels.labels)))
+        np.ascontiguousarray(hidden[:, 0]), weights, "re", len(labels.labels)),
+        np.broadcast_to(np.arange(max_len) == 0, (len(encodings), max_len)))
     # class logits from the position-0 vectors; the first label wins a tie
     return [labels.labels[int(np.argmax(row))] for row in logits]
 
@@ -400,6 +412,8 @@ class Task(NamedTuple):
     space: type = object  # the label space's kind; object for a task without one
     label_space: Callable = lambda section, datasets, metadata: None
     metadata: Callable = lambda space: {}  # the checkpoint metadata recording the space
+    # training targets -> the (B, L) positions the head reads (None: all real)
+    reads: Callable = lambda targets: None
 
 
 TASKS = {
@@ -410,7 +424,7 @@ TASKS = {
             lenient=section.bool("lenient", False)),
         label_space=_tag_scheme,
         metadata=lambda scheme: {"entity_types": " ".join(scheme.entity_types)},
-        width=len, prepare=_prepare_ner, head=_task_head,
+        width=len, prepare=_prepare_ner, head=_task_head, reads=_labelled,
         predict=lambda w, data, vocab, scheme, config: predict_ner(
             w, data, vocab, scheme, config.max_len),
         gold=lambda sentences: [s.tags for s in sentences],
@@ -421,6 +435,7 @@ TASKS = {
         read=lambda section, key: parse_re_tsv(section.path(key), _relation_labels(section)),
         label_space=lambda section, datasets, metadata: _relation_labels(section),
         width=lambda labels: len(labels.labels), prepare=_prepare_re, head=_task_head,
+        reads=_labelled,
         predict=lambda w, data, vocab, labels, config: predict_re(
             w, data, vocab, labels, config.max_len),
         gold=lambda examples: [ex.label for ex in examples],
@@ -536,7 +551,8 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
                 encodings, targets = zip(*chunk)
                 loss, _ = train_step(weights, encodings,
                                      spec.head(weights, task, encodings, targets),
-                                     opt.zero_grads(), rng=dropout_rng)
+                                     opt.zero_grads(), read=spec.reads(targets),
+                                     rng=dropout_rng)
                 opt.checked_grad_norm(step, loss)
                 opt.step(lr)
                 epoch_loss += loss

@@ -130,7 +130,8 @@ def mlm_loss(masked: MaskedBatch, weights: WeightStore):
     """
     if masked.mask_positions.shape[0] == 0:
         return 0.0, np.zeros((0, weights.config.vocab_size), dtype=weights.dtype)
-    hidden = forward_arrays(weights, *batch_arrays(masked.inputs))
+    hidden = forward_arrays(weights, *batch_arrays(masked.inputs),
+                            read=masked.labels != IGNORE_LABEL)
     rows, cols = masked.mask_positions[:, 0], masked.mask_positions[:, 1]
     logits = mlm_logits(hidden[rows, cols], weights)
     targets = masked.labels[rows, cols]
@@ -143,12 +144,14 @@ def mlm_step_grads(masked: MaskedBatch, weights: WeightStore, *,
                    grads: dict[str, np.ndarray] | None = None):
     """Forward + backward for one masked batch.
 
+    The encoder's last layer computes only at the masked positions.
     Returns (loss, accuracy, grads). Gradients cover every core tensor,
     including the tied token-embedding contribution from the output
     projection; they accumulate into grads when given (see train_step).
     """
     tensors = weights.tensors
-    targets = masked.labels[masked.labels != IGNORE_LABEL]
+    read = masked.labels != IGNORE_LABEL
+    targets = masked.labels[read]
 
     def head(hidden):
         loss, logits, d_hidden, d_weight, d_bias = affine_xent(
@@ -156,7 +159,7 @@ def mlm_step_grads(masked: MaskedBatch, weights: WeightStore, *,
         accuracy = float((logits.argmax(axis=1) == targets).mean()) if targets.size else 0.0
         return (loss, accuracy), d_hidden, {"embeddings.token": d_weight.T, "mlm.bias": d_bias}
 
-    (loss, accuracy), grads = train_step(weights, masked.inputs, head, grads,
+    (loss, accuracy), grads = train_step(weights, masked.inputs, head, grads, read=read,
                                          train=train, rng=rng)
     return loss, accuracy, grads
 
@@ -301,7 +304,8 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
         lr = linear_schedule(step, config.steps, config.learning_rate, config.warmup_fraction)
         opt.step(lr)
         record = {"step": step, "loss": round(loss, 6), "accuracy": round(accuracy, 6),
-                  "lr": lr, "grad_norm": round(grad_norm, 6),
+                  "n_masked": int(masked.mask_positions.shape[0]), "lr": lr,
+                  "grad_norm": round(grad_norm, 6),
                   "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3)}
         records.append(record)
         if log_sink is not None:

@@ -132,8 +132,8 @@ def test_pretrain_writes_checkpoints_and_log(tmp_path, fixture_dir):
     assert (pre / "step_000002.ckpt").exists()
     lines = (pre / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 4
-    assert set(json.loads(lines[0])) == {"step", "loss", "accuracy", "lr", "grad_norm",
-                                         "wall_ms"}
+    assert set(json.loads(lines[0])) == {"step", "loss", "accuracy", "n_masked", "lr",
+                                         "grad_norm", "wall_ms"}
 
 
 def test_pretrain_stops_at_a_non_finite_step(tmp_path, fixture_dir, capsys):

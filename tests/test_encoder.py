@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from adaptlm.encoder import (EncoderConfig, expected_shapes, forward_arrays,
-                             backward_arrays, init_weights, truncated_normal)
+from adaptlm import encoder
+from adaptlm.encoder import (IGNORE_LABEL, EncoderConfig, expected_shapes, forward_arrays,
+                             backward_arrays, init_weights, train_step, truncated_normal)
 from adaptlm.errors import ConfigError, ContractViolation, InputError
+from adaptlm.pretrain import MaskedBatch, mlm_loss, mlm_step_grads
 from adaptlm.tokenizer import batch_arrays, encode_sequence
 
 
@@ -269,3 +271,110 @@ def test_gradients_match_finite_differences_quick(toy_vocab, dropout):
             fd[idx] = (lp - lm) / (2 * h)
         rel = np.linalg.norm(grads[name] - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-5, f"{name}: rel={rel}"
+
+
+def _read_batch(toy_vocab):
+    """(ids, segments, mask) of three rows at max_len 10 whose spans pack
+    into two rows: the longest alone, the other two together."""
+    return batch_arrays([encode_sequence("a b c d e f", None, toy_vocab, 10),
+                         encode_sequence("a b", None, toy_vocab, 10),
+                         encode_sequence("c", None, toy_vocab, 10)])
+
+
+def _every_column(read):
+    """_read_columns as if every packed cell were read: the full last layer."""
+    return np.broadcast_to(np.arange(read.shape[1]), read.shape), np.ones_like(read)
+
+
+READS = {
+    "random": lambda real: real & (np.random.default_rng(4).random(real.shape) < 0.15),
+    "one_packed_row_only": lambda real: real & (np.arange(3) == 0)[:, None],
+    "second_span_of_a_packed_row": lambda real: real & (np.arange(3) == 2)[:, None],
+    "none": np.zeros_like,
+    "every_real_cell": lambda real: real,
+}
+
+
+@pytest.mark.parametrize("case", READS)
+def test_states_at_read_positions_equal_the_full_forward(case, toy_vocab, monkeypatch):
+    cfg = EncoderConfig(vocab_size=len(toy_vocab), hidden=8, layers=2, heads=2, ff_dim=16,
+                        max_positions=12, dropout=0.0, init_std=0.5, seed=3)
+    weights = init_weights(cfg).astype(np.float64)
+    ids, segments, mask = _read_batch(toy_vocab)
+    real = mask == 1
+    read = READS[case](real)
+    states, cache = forward_arrays(weights, ids, segments, mask, read=read, return_cache=True)
+    plan = cache["plan"]
+    assert plan.n_rows == 2 and plan.rows[1] == plan.rows[2]
+    # the last layer runs at the largest per-packed-row read count
+    assert cache["keep"].shape == (2, max(read[0].sum(), read[1:].sum()))
+    if case == "random":
+        assert 0 < read.sum() < real.sum()
+    if case == "one_packed_row_only":
+        assert not cache["keep"][plan.rows[1]].any()
+
+    monkeypatch.setattr(encoder, "_read_columns", _every_column)
+    full = forward_arrays(weights, ids, segments, mask, read=read)
+    assert (full[real] != 0).any(axis=1).all()
+    np.testing.assert_allclose(states[read], full[read], rtol=1e-12, atol=1e-12)
+    assert (states[~read] == 0).all()
+    if case == "every_real_cell":
+        assert np.array_equal(forward_arrays(weights, ids, segments, mask), states)
+
+
+def test_an_mlm_batch_with_no_masked_position_scores_zero(toy_vocab):
+    cfg = EncoderConfig(vocab_size=len(toy_vocab), hidden=8, layers=2, heads=2, ff_dim=16,
+                        max_positions=12, dropout=0.1, seed=3)
+    weights = init_weights(cfg)
+    batch = [encode_sequence(text, None, toy_vocab, 10) for text in ("a b c d e f", "a b")]
+    labels = np.full((2, 10), IGNORE_LABEL)
+    masked = MaskedBatch(batch, labels, np.argwhere(labels != IGNORE_LABEL))
+    loss, accuracy, grads = mlm_step_grads(masked, weights, train=True,
+                                           rng=np.random.default_rng(1))
+    assert (loss, accuracy) == (0.0, 0.0)
+    for name, grad in grads.items():
+        assert np.isfinite(grad).all() and not grad.any(), name
+    assert mlm_loss(masked, weights)[0] == 0.0
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_train_step_with_a_read_mask_matches_finite_differences(toy_vocab, dropout):
+    """Every tensor's gradient through train_step(read=...), two layers,
+    reading a packed row's second span and leaving one packed row unread. The head's d_hidden is nonzero at unread
+    positions too, where the states are 0 whatever the weights, so it must
+    be ignored there. Each forward re-seeds its rng, as in the quick check."""
+    cfg = EncoderConfig(vocab_size=len(toy_vocab), hidden=6, layers=2, heads=2, ff_dim=10,
+                        max_positions=12, dropout=dropout, init_std=0.5, seed=2)
+    weights = init_weights(cfg).astype(np.float64)
+    # spans 8, 4, 3 and 5 pack as [0], [3, 2] and [1]
+    batch = [encode_sequence(text, None, toy_vocab, 10)
+             for text in ("a b c d e f", "a b", "c", "d e f")]
+    arrays = batch_arrays(batch)
+    read = np.zeros(arrays[0].shape, dtype=bool)
+    read[0, [1, 4, 6]] = read[2, 1] = True
+    proj = np.random.default_rng(1).standard_normal((*read.shape, cfg.hidden))
+
+    def loss(w):
+        return float((forward_arrays(w, *arrays, read=read, train=True,
+                                     rng=np.random.default_rng(5)) * proj).sum())
+
+    _, grads = train_step(weights, batch, lambda hidden: (float((hidden * proj).sum()), proj, {}),
+                          read=read, rng=np.random.default_rng(5))
+    h = 1e-4
+    for name, analytic in grads.items():
+        arr = weights.tensors[name]
+        fd = np.zeros_like(arr)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = arr[idx]
+            arr[idx] = orig + h
+            lp = loss(weights)
+            arr[idx] = orig - h
+            lm = loss(weights)
+            arr[idx] = orig
+            fd[idx] = (lp - lm) / (2 * h)
+        diff = float(np.linalg.norm(analytic - fd))
+        ref = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(fd)))
+        # atol covers the key biases, whose gradient is 0 but for rounding
+        assert diff <= 1e-8 + 1e-5 * ref, f"{name}: |d|={diff:.3e} ref={ref:.3e}"

@@ -1,7 +1,9 @@
 """Row groups: the encoder runs a large batch's packed rows as two groups, each
 with its own layer stack, side by side on two threads. Results match a
 one-group run up to float32 rounding, and the bytes depend on the shape
-alone: not on pool or serial execution, nor on the BLAS thread setting."""
+alone: not on pool or serial execution, nor on the BLAS thread setting. The
+MLM steps below pass their masked positions as the read mask, so the last
+layer computes at those columns only, chosen before the rows are split."""
 
 import hashlib
 import multiprocessing
@@ -51,7 +53,8 @@ def bench_batch(seed, rows=16, width=128):
 
 def bench_weights_hash(steps=2):
     """sha256 of the weights after steps AdamW steps at the bench shape,
-    dropout 0.1; the subprocess test prints it."""
+    dropout 0.1, each reading the masked positions only; the subprocess test
+    prints it."""
     weights = bench_weights(0.1)
     opt = AdamW(weights, expected_shapes(weights.config))
     rng = np.random.default_rng(7)
@@ -79,6 +82,20 @@ def test_groups_form_at_the_bench_shape_and_never_at_the_reference_shape():
     # the largest reference-shape batch: 16 x 32, hidden 64, nothing packed
     assert encoder._row_groups(16, 32, 64) == [(0, 16)]
     assert encoder._row_groups(1, 128, 1024) == [(0, 1)]
+
+
+def test_the_last_layer_runs_at_the_masked_columns_of_both_groups():
+    weights = bench_weights(0.0)
+    masked = bench_batch(0)
+    read = masked.labels != IGNORE_LABEL
+    states, cache = forward_arrays(weights, *batch_arrays(masked.inputs), read=read,
+                                   return_cache=True)
+    keep, plan = cache["keep"], cache["plan"]
+    assert len(cache["groups"]) == 2
+    # one column count for every packed row, set by the row with most reads
+    assert keep.shape == (plan.n_rows, keep.sum(axis=1).max())
+    assert keep.sum() == read.sum() and keep.shape[1] < plan.width // 2
+    assert (states[~read] == 0).all() and (states[read] != 0).any(axis=1).all()
 
 
 def test_two_groups_equal_one_group_up_to_rounding(monkeypatch):

@@ -165,7 +165,8 @@ def test_train_mlm_runs_exact_steps_and_logs(toy_vocab, tmp_path):
     assert [r["step"] for r in records] == list(range(1, 7))
     lines = [json.loads(l) for l in log.getvalue().splitlines()]
     assert len(lines) == 6
-    assert set(lines[0]) == {"step", "loss", "accuracy", "lr", "grad_norm", "wall_ms"}
+    assert set(lines[0]) == {"step", "loss", "accuracy", "n_masked", "lr", "grad_norm",
+                             "wall_ms"}
     assert lines[0]["grad_norm"] > 0 and lines[0]["lr"] > 0
     assert weights.metadata["vocab_fingerprint"] == toy_vocab.fingerprint()
 
