@@ -150,8 +150,7 @@ class Section:
         other field read from this section by its annotation, or the field's
         own default when the key is absent."""
         readers = {"int": self.int, "bool": self.bool, "str": self.str,
-                   "float": lambda key: self._parse(key, self.str(key), float),
-                   "tuple[str, ...]": lambda key: tuple(self.list_of(key, str))}
+                   "float": lambda key: self._parse(key, self.str(key), float)}
         kwargs = dict(fixed)
         for f in dataclasses.fields(cls):
             if f.name in fixed:

@@ -35,23 +35,18 @@ class LabeledSentence:
 
 @dataclass(frozen=True)
 class RelationLabelSet:
-    """Ordered relation labels; the first is the negative class by default."""
+    """Ordered relation labels; the first is the negative class."""
 
     labels: tuple[str, ...]
-    negative: str = ""
     required_placeholders: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.labels) < 2 or len(set(self.labels)) != len(self.labels):
             raise InputError("label set needs >= 2 unique labels")
-        if not self.negative:
-            object.__setattr__(self, "negative", self.labels[0])
-        if self.negative not in self.labels:
-            raise InputError(f"negative label {self.negative!r} not in label set")
 
     @property
     def positive(self) -> set[str]:
-        return {l for l in self.labels if l != self.negative}
+        return set(self.labels[1:])
 
 
 @dataclass(frozen=True)
@@ -123,18 +118,16 @@ def write_json(doc, path, indent: int = 1, sort_keys: bool = True) -> None:
 # CoNLL
 # ---------------------------------------------------------------------------
 
-def parse_conll(stream, scheme: str = "bioes", lenient: bool = False,
-                warn=None) -> list[LabeledSentence]:
+def parse_conll(stream, scheme: str = "bioes", lenient: bool = False) -> list[LabeledSentence]:
     """Parse token/tag lines (last whitespace field is the tag; blank line
     ends a sentence; -DOCSTART- lines are skipped).
 
     scheme "bioes" or "bio" selects the validity check. With lenient=True an
     invalid sequence is repaired instead of rejected (a BIO one through
-    repair_bioes, so a stray I-X opens an entity as B-X) and warn(message)
-    is called when provided.
+    repair_bioes, so a stray I-X opens an entity as B-X).
     """
     if isinstance(stream, (str, os.PathLike)):
-        return parse_conll(open_text(stream), scheme, lenient, warn)
+        return parse_conll(open_text(stream), scheme, lenient)
     if scheme not in ("bioes", "bio"):
         raise FormatError(f"unknown tag scheme {scheme!r}")
     sentences = []
@@ -158,8 +151,6 @@ def parse_conll(stream, scheme: str = "bioes", lenient: bool = False,
                     f"invalid {scheme.upper()} sequence in sentence starting at line "
                     f"{sentence_start}: {e}") from None
             fixed = repair_bioes(tags) if scheme == "bioes" else bioes_to_bio(repair_bioes(tags))
-            if warn is not None:
-                warn(f"repaired sentence starting at line {sentence_start}: {e}")
         sentences.append(LabeledSentence(tuple(words), tuple(fixed)))
         words, tags = [], []
         sentence_start = lineno + 1
@@ -385,10 +376,8 @@ def bioasq_to_extractive(questions: list[dict], passages: dict[str, str]):
 
 
 def load_json(source):
-    """A parsed JSON document from a path or text stream (a dict or list
-    passes through); undecodable or malformed input raises FormatError."""
-    if isinstance(source, (dict, list)):
-        return source
+    """A parsed JSON document from a path or text stream; undecodable or
+    malformed input raises FormatError."""
     where = "stream"
     if isinstance(source, (str, os.PathLike)):
         where, source = source, open_text(source)

@@ -20,17 +20,20 @@ arXiv 2107.02027). Callers pass and get back the (B, L) layout at the
 encoding length; the packed one lives only inside forward and backward.
 
 The caller also says which positions it reads (read: the MLM targets, a
-label head's labelled positions, position 0 for relation inference), and
-the last layer computes its outputs only there: keys and values at every
-packed cell, but queries, attention, the output projection, both layer
-norms and the feed-forward block only at each packed row's read columns,
-padded to the batch's largest per-row count with that row's unread
-columns (_read_columns). This is sparse token prediction (Izsak et al.,
-arXiv 2104.07705) one layer deeper: the MLM loss scores about 15% of the
-tokens, so most of the last layer's work was never read. The returned
-states are zero outside the read positions.
+label head's labelled positions, a span head's passage positions, position
+0 for relation inference), and the last layer computes its outputs only
+there: keys and values at every packed cell, but queries, attention, the
+output projection, both layer norms and the feed-forward block only at
+each packed row's read columns, padded to the batch's largest per-row
+count with that row's unread columns (_read_columns). This is sparse token
+prediction (Izsak et al., arXiv 2104.07705) one layer deeper: the MLM loss
+scores about 15% of the tokens, so most of the last layer's work was never
+read. The returned states are zero outside the read positions.
 
-A large batch then splits its R packed rows into two groups, [0, ceil(R/2))
+An rng turns dropout on: a forward or training step given one draws its
+dropout masks from it, and one without runs as inference.
+
+A large batch splits its R packed rows into two groups, [0, ceil(R/2))
 and the rest, and runs the layer stack of each on its own thread
 (_row_groups, _in_groups); attention never crosses a packed row, so the
 groups are independent, and numpy releases the GIL inside BLAS calls and
@@ -433,8 +436,7 @@ def _layers_forward(t, cfg, x, attn_mask, cols, keep, out, p_drop, rng, keep_cac
 
 
 def forward_arrays(weights: WeightStore, ids, segments, mask, *, read=None,
-                   train: bool = False, rng: np.random.Generator | None = None,
-                   return_cache: bool = False):
+                   rng: np.random.Generator | None = None, return_cache: bool = False):
     """Run the encoder over (B, L) int arrays. Returns the (B, L, hidden)
     last-layer states at the positions of the (B, L) bool array read, zero
     elsewhere, or (states, backprop cache) when return_cache is set. read
@@ -454,9 +456,10 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *, read=None,
     before they are split. A large batch then runs the layer stack in two
     groups of packed rows, side by side (_row_groups).
 
-    train=True applies inverted dropout (embeddings, attention probabilities,
-    both sublayer outputs) using draws from rng; with two groups, each group
-    draws from its own generator, seeded from rng. Every mask row needs at
+    An rng turns dropout on: inverted dropout (embeddings, attention
+    probabilities, both sublayer outputs) using draws from rng; with two
+    groups, each group draws from its own generator, seeded from rng. At
+    dropout 0 an rng draws nothing. Every mask row needs at
     least one real position, and no span may be longer than max_positions.
     """
     cfg = weights.config
@@ -469,9 +472,7 @@ def forward_arrays(weights: WeightStore, ids, segments, mask, *, read=None,
         raise InputError("segment id out of range")
 
     t = weights.tensors
-    p_drop = cfg.dropout if train else 0.0
-    if p_drop > 0.0 and rng is None:
-        raise InputError("training-mode forward with dropout requires an rng")
+    p_drop = 0.0 if rng is None else cfg.dropout
 
     real = np.asarray(mask) > 0
     if not real.any(axis=1).all():
@@ -624,7 +625,7 @@ def affine_xent(hidden, labels, weight, bias):
 
 def train_step(weights: WeightStore, inputs: list[EncodedInput], head,
                grads: dict[str, np.ndarray] | None = None, *, read=None,
-               train: bool = True, rng: np.random.Generator | None = None):
+               rng: np.random.Generator | None = None):
     """Loss and gradients of one batch: forward, task head, backward.
 
     read is the (B, L) bool array of the positions head reads, as
@@ -635,10 +636,11 @@ def train_step(weights: WeightStore, inputs: list[EncodedInput], head,
     such as the tied token embeddings) to their gradients. The gradients
     accumulate into grads, zero-filled by the caller (AdamW.zero_grads), or
     into fresh arrays for every core tensor plus those the head names.
-    Returns (loss, grads), loss as the head returned it.
+    An rng turns dropout on, as in forward_arrays. Returns (loss, grads),
+    loss as the head returned it.
     """
-    hidden, cache = forward_arrays(weights, *batch_arrays(inputs), read=read,
-                                   train=train, rng=rng, return_cache=True)
+    hidden, cache = forward_arrays(weights, *batch_arrays(inputs), read=read, rng=rng,
+                                   return_cache=True)
     loss, d_hidden, head_grads = head(hidden)
     grads = zero_grads(weights) if grads is None else grads
     for name, grad in head_grads.items():

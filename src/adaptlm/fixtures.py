@@ -41,16 +41,11 @@ _AT_LEAST_ONE = ("general_words", "domain_heads", "distractor_heads", "markers_p
 
 @dataclass(frozen=True)
 class FixtureRecipe:
-    # pool sizes (generated nonce words) or explicit comma-separated pools
+    # pool sizes (generated nonce words)
     general_words: int = 40
     domain_heads: int = 16
     distractor_heads: int = 16
-    term_syllables: int = 1
-    term_tails: int = 4
     markers_per_class: int = 3
-    general_pool: tuple[str, ...] = ()
-    domain_pool: tuple[str, ...] = ()
-    require_disjoint: bool = True
     # corpus sizes
     general_documents: int = 100
     domain_documents: int = 200
@@ -79,17 +74,11 @@ class FixtureRecipe:
             low = 1 if f.name in _AT_LEAST_ONE else 0
             if f.type == "int" and getattr(self, f.name) < low:
                 raise RecipeError(f"{f.name} must be >= {low}")
-        if self.term_syllables not in (1, 2):
-            raise RecipeError("term_syllables must be 1 or 2")
         for name in ("unanswerable_fraction", "two_word_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise RecipeError(f"{name} must lie in [0, 1]")
         if not 0.0 < self.train_head_fraction < 1.0:
             raise RecipeError("train_head_fraction must lie in (0, 1)")
-        if self.require_disjoint and self.general_pool and self.domain_pool:
-            overlap = set(self.general_pool) & set(self.domain_pool)
-            if overlap:
-                raise RecipeError(f"general and domain pools overlap: {sorted(overlap)}")
         return self
 
 
@@ -153,48 +142,24 @@ def _build_world(recipe: FixtureRecipe, rng: np.random.Generator) -> _World:
         pieces[word] = list(syllables)
         return word
 
-    if recipe.general_pool:
-        general = list(recipe.general_pool)
-        for w in general:
-            pieces[w] = [w]
-    else:
-        gen_syll = _syllables(rng, max(recipe.general_words // 2 + 2, 4), taken)
-        general = []
-        while len(general) < recipe.general_words:
-            k = 1 + int(rng.integers(2))
-            word = compose([gen_syll[rng.integers(len(gen_syll))] for _ in range(k)])
-            if word not in general:
-                general.append(word)
+    gen_syll = _syllables(rng, max(recipe.general_words // 2 + 2, 4), taken)
+    general = []
+    while len(general) < recipe.general_words:
+        k = 1 + int(rng.integers(2))
+        word = compose([gen_syll[rng.integers(len(gen_syll))] for _ in range(k)])
+        if word not in general:
+            general.append(word)
 
-    tails = _syllables(rng, recipe.term_tails, taken) if recipe.term_syllables == 2 else []
+    # each term is one syllable of its own
+    domain_terms = [compose([s]) for s in _syllables(rng, recipe.domain_heads, taken)]
+    distractor_terms = [compose([s]) for s in _syllables(rng, recipe.distractor_heads, taken)]
 
-    def build_terms(n_heads: int) -> tuple[list[str], list[str]]:
-        heads = _syllables(rng, n_heads, taken)
-        if recipe.term_syllables == 1:
-            return heads, [compose([h]) for h in heads]
-        return heads, [compose([h, t]) for h in heads for t in tails[:2]]
+    def split(terms: list[str]) -> tuple[list[str], list[str]]:
+        n_train = max(1, int(round(recipe.train_head_fraction * len(terms))))
+        return terms[:n_train], terms[n_train:] or terms[:n_train]
 
-    if recipe.domain_pool:
-        domain_heads, domain_terms = [], list(recipe.domain_pool)
-        for w in domain_terms:
-            pieces[w] = [w]
-    else:
-        domain_heads, domain_terms = build_terms(recipe.domain_heads)
-    _, distractor_terms = build_terms(recipe.distractor_heads)
-
-    def split_by_head(terms: list[str]) -> tuple[list[str], list[str]]:
-        heads_of = {}
-        for t in terms:
-            heads_of.setdefault(pieces[t][0], []).append(t)
-        head_list = list(heads_of)
-        n_train = max(1, int(round(recipe.train_head_fraction * len(head_list))))
-        train_heads = set(head_list[:n_train])
-        train = [t for h in head_list if h in train_heads for t in heads_of[h]]
-        test = [t for h in head_list if h not in train_heads for t in heads_of[h]]
-        return train, test or train
-
-    d_train, d_test = split_by_head(domain_terms)
-    n_train, n_test = split_by_head(distractor_terms)
+    d_train, d_test = split(domain_terms)
+    n_train, n_test = split(distractor_terms)
 
     # single-syllable markers: a masked marker is only predictable from the
     # neighbouring term, never from its own visible remainder

@@ -13,7 +13,6 @@ through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,7 +24,7 @@ from .encoder import (HEAD_PREFIX, IGNORE_LABEL, WeightStore, affine_xent,
                       expected_shapes, forward_arrays, init_head, train_step)
 from .errors import ConfigError, FormatError, InputError, NoAnswerError
 from .metrics import EvalReport, normalize_answer, score
-from .optimizer import AdamW, linear_schedule
+from .optimizer import AdamW, check_schedule, linear_schedule
 from .pretrain import seed_stream
 from .tags import TagScheme, parse_tag, repair_bioes
 from .tokenizer import (EncodedInput, NO_WORD, batch_arrays, encode_sequence,
@@ -59,8 +58,11 @@ class FinetuneConfig:
             if all(abs(self.learning_rate - lr) > 1e-12 for lr in GRID_LEARNING_RATES):
                 raise ConfigError(f"learning_rate {self.learning_rate} outside the standard "
                                   f"grid {GRID_LEARNING_RATES}; set allow_nonstandard to override")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        check_schedule(self.learning_rate, self.warmup_fraction, self.weight_decay)
         if self.max_len < 4 or self.doc_stride < 1 or self.max_answer_subtokens < 1 or self.n_best < 1:
             raise ConfigError("invalid task knobs")
         return self
@@ -194,29 +196,32 @@ class FinetuneResult(NamedTuple):
     log: list[dict]
 
 
-def _task_head(weights: WeightStore, task: str, encodings, targets, span: bool = False):
-    """The head(hidden) of one fine-tuning batch, for train_step.
-
-    A label head (NER, RE) scores its affine layer with cross-entropy at
-    every position whose target is not IGNORE_LABEL: first subtokens for NER,
-    position 0 for RE. A span head (QA) scores start and end positions with
-    two softmaxes over each window's admissible positions, averaged over both
-    ends and the batch. Targets and hidden states share the encoding length.
-    """
+def _label_head(weights: WeightStore, task: str, encodings, targets):
+    """(read, head) of one label-head batch (NER, RE), for train_step: head
+    scores its affine layer with cross-entropy at every position whose
+    target is not IGNORE_LABEL (first subtokens for NER, position 0 for RE),
+    and read marks those positions."""
     names = (f"{HEAD_PREFIX}{task}.weight", f"{HEAD_PREFIX}{task}.bias")
     w, bias = (weights.tensors[name] for name in names)
-    if not span:
-        labels = np.stack(targets)
+    labels = np.stack(targets)
 
-        def label_head(hidden):
-            loss, _, d_hidden, d_w, d_b = affine_xent(hidden, labels, w, bias)
-            return loss, d_hidden, dict(zip(names, (d_w, d_b)))
-        return label_head
+    def head(hidden):
+        loss, _, d_hidden, d_w, d_b = affine_xent(hidden, labels, w, bias)
+        return loss, d_hidden, dict(zip(names, (d_w, d_b)))
+    return labels != IGNORE_LABEL, head
 
+
+def _span_head(weights: WeightStore, task: str, encodings, targets):
+    """(read, head) of one span-head batch (QA), for train_step: head scores
+    start and end positions with two softmaxes over each window's admissible
+    positions, averaged over both ends and the batch, and read marks those
+    positions. Targets and hidden states share the encoding length."""
+    names = (f"{HEAD_PREFIX}{task}.weight", f"{HEAD_PREFIX}{task}.bias")
+    w, bias = (weights.tensors[name] for name in names)
     spans = np.asarray(targets, dtype=np.int64)
     admissible = np.stack([admissible_positions(e) for e in encodings])
 
-    def span_head(hidden):
+    def head(hidden):
         b, l, h = hidden.shape
         logits = hidden @ w + bias
         mask = np.where(admissible, hidden.dtype.type(0), hidden.dtype.type(-1e9))
@@ -229,12 +234,7 @@ def _task_head(weights: WeightStore, task: str, encodings, targets, span: bool =
         d_logits = np.stack(d_cols, axis=-1)  # (B, L, 2)
         d_w = hidden.reshape(b * l, h).T @ d_logits.reshape(b * l, 2)
         return loss, d_logits @ w.T, dict(zip(names, (d_w, d_logits.sum(axis=(0, 1)))))
-    return span_head
-
-
-def _labelled(targets):
-    """The positions a label head scores: every target not IGNORE_LABEL."""
-    return np.stack(targets) != IGNORE_LABEL
+    return admissible, head
 
 
 def _prepare_ner(sentences, vocab, config, scheme):
@@ -282,15 +282,15 @@ def _prepare_qa(examples, vocab, config, _):
     return items
 
 
-def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head, read=None):
+def _batched_logits(weights: WeightStore, encodings: list[EncodedInput], head, read):
     """head(hidden) row by row for every encoding, in order, computed by
     inference forwards of at most EVAL_BATCH_SIZE rows each. A row keeps its
     encoding's length and is zero outside the positions of its row of the
-    (N, L) bool array read (None: its real positions)."""
+    (N, L) bool array read."""
     for lo in range(0, len(encodings), EVAL_BATCH_SIZE):
         hi = lo + EVAL_BATCH_SIZE
         yield from head(forward_arrays(weights, *batch_arrays(encodings[lo:hi]),
-                                       read=None if read is None else read[lo:hi]))
+                                       read=read[lo:hi]))
 
 
 def predict_ner(weights: WeightStore, sentences: list[LabeledSentence],
@@ -319,11 +319,14 @@ def predict_re(weights: WeightStore, examples: list[RelationExample],
 def predict_qa(weights: WeightStore, examples: list[QAExample], vocab: Vocabulary,
                config: FinetuneConfig) -> list[list[str]]:
     """Ranked answer strings per example, merged across windows and deduped
-    by normalized text. The windows of all examples share batched forwards."""
+    by normalized text. The windows of all examples share batched forwards,
+    which read the admissible positions, as extract_span does."""
     windows = [encode_windows(ex.question, ex.passage, vocab, config.max_len,
                               config.doc_stride) for ex in examples]
-    logits = _batched_logits(weights, [w for ex_windows in windows for w in ex_windows],
-                             lambda hidden: head_logits(hidden, weights, "qa", 2))
+    flat = [w for ex_windows in windows for w in ex_windows]
+    read = np.array([admissible_positions(w) for w in flat], bool).reshape(-1, config.max_len)
+    logits = _batched_logits(weights, flat,
+                             lambda hidden: head_logits(hidden, weights, "qa", 2), read)
     ranked_all = []
     for ex_windows in windows:
         candidates: list[SpanPrediction] = []
@@ -405,15 +408,13 @@ class Task(NamedTuple):
     read: Callable  # (section, key) -> the dataset at the path [section] key names
     width: Callable  # label space -> head outputs per position
     prepare: Callable  # (dataset, vocab, FinetuneConfig, space) -> [(encoding, target)]
-    head: Callable  # (weights, task, encodings, targets) -> head(hidden) for train_step
+    head: Callable  # (weights, task, encodings, targets) -> (read, head) for train_step
     predict: Callable  # (weights, dataset, vocab, space, FinetuneConfig) -> predictions
     gold: Callable  # dataset -> gold values, parallel to the predictions
     pairs: Callable  # (section, gold dataset) -> the [section] pred file's predictions, paired
     space: type = object  # the label space's kind; object for a task without one
     label_space: Callable = lambda section, datasets, metadata: None
     metadata: Callable = lambda space: {}  # the checkpoint metadata recording the space
-    # training targets -> the (B, L) positions the head reads (None: all real)
-    reads: Callable = lambda targets: None
 
 
 TASKS = {
@@ -424,7 +425,7 @@ TASKS = {
             lenient=section.bool("lenient", False)),
         label_space=_tag_scheme,
         metadata=lambda scheme: {"entity_types": " ".join(scheme.entity_types)},
-        width=len, prepare=_prepare_ner, head=_task_head, reads=_labelled,
+        width=len, prepare=_prepare_ner, head=_label_head,
         predict=lambda w, data, vocab, scheme, config: predict_ner(
             w, data, vocab, scheme, config.max_len),
         gold=lambda sentences: [s.tags for s in sentences],
@@ -434,8 +435,7 @@ TASKS = {
         space=RelationLabelSet,
         read=lambda section, key: parse_re_tsv(section.path(key), _relation_labels(section)),
         label_space=lambda section, datasets, metadata: _relation_labels(section),
-        width=lambda labels: len(labels.labels), prepare=_prepare_re, head=_task_head,
-        reads=_labelled,
+        width=lambda labels: len(labels.labels), prepare=_prepare_re, head=_label_head,
         predict=lambda w, data, vocab, labels, config: predict_re(
             w, data, vocab, labels, config.max_len),
         gold=lambda examples: [ex.label for ex in examples],
@@ -443,7 +443,7 @@ TASKS = {
             (ex.id, ex.label) for ex in TASKS["re"].read(section, "pred")])),
     "qa": Task(
         read=lambda section, key: parse_qa_json(section.path(key)),
-        width=lambda _: 2, prepare=_prepare_qa, head=partial(_task_head, span=True),
+        width=lambda _: 2, prepare=_prepare_qa, head=_span_head,
         predict=lambda w, data, vocab, _, config: predict_qa(w, data, vocab, config),
         gold=lambda examples: [ex.gold_answers for ex in examples],
         pairs=lambda section, gold: _paired(section, gold,
@@ -516,8 +516,8 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
     init_rng = seed_stream(config.seed, "finetune.init")
     head_seed = int(init_rng.integers(0, 2**31 - 1))
     weights.metadata.update(spec.metadata(space))
-    head = init_head(weights.config, task, spec.width(space), head_seed)
-    weights.tensors.update(head)
+    head_tensors = init_head(weights.config, task, spec.width(space), head_seed)
+    weights.tensors.update(head_tensors)
 
     data_rng = seed_stream(config.seed, "finetune.data")
     dropout_rng = seed_stream(config.seed, "finetune.dropout")
@@ -525,7 +525,7 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
     phases = [(name, spec.prepare(data, vocab, config, space))
               for name, data in [*phases, ("target", train_data)]]
 
-    opt = AdamW(weights, [*expected_shapes(weights.config), *head],
+    opt = AdamW(weights, [*expected_shapes(weights.config), *head_tensors],
                 weight_decay=config.weight_decay)
     steps_per_epoch = {name: max(1, (len(items) + config.batch_size - 1) // config.batch_size)
                        for name, items in phases}
@@ -549,9 +549,8 @@ def finetune(task: str, train_data, dev_data, init: WeightStore,
                 lr = linear_schedule(step, total_steps, config.learning_rate,
                                      config.warmup_fraction)
                 encodings, targets = zip(*chunk)
-                loss, _ = train_step(weights, encodings,
-                                     spec.head(weights, task, encodings, targets),
-                                     opt.zero_grads(), read=spec.reads(targets),
+                read, head = spec.head(weights, task, encodings, targets)
+                loss, _ = train_step(weights, encodings, head, opt.zero_grads(), read=read,
                                      rng=dropout_rng)
                 opt.checked_grad_norm(step, loss)
                 opt.step(lr)

@@ -11,7 +11,18 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
+
+
+def check_schedule(learning_rate: float, warmup_fraction: float, weight_decay: float) -> None:
+    """Raise ConfigError unless learning_rate >= 0, warmup_fraction lies in
+    [0, 1) and weight_decay >= 0, the settings linear_schedule and AdamW take."""
+    if learning_rate < 0:
+        raise ConfigError("learning_rate must be >= 0")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ConfigError("warmup_fraction must lie in [0, 1)")
+    if weight_decay < 0:
+        raise ConfigError("weight_decay must be >= 0")
 
 
 def linear_schedule(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -> float:

@@ -22,7 +22,7 @@ from .data import open_text
 from .encoder import (IGNORE_LABEL, EncoderConfig, WeightStore, affine_xent,
                       expected_shapes, forward_arrays, init_weights, train_step)
 from .errors import ConfigError, InputError, TransferError
-from .optimizer import AdamW, linear_schedule
+from .optimizer import AdamW, check_schedule, linear_schedule
 from .tokenizer import (EncodedInput, basic_tokenize, batch_arrays, encode_pieces, stack_fields,
                         wordpiece_split)
 from .vocab import Vocabulary
@@ -76,8 +76,9 @@ class PretrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.max_len < 3:
             raise ConfigError("max_len must be >= 3")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigError("warmup_fraction must lie in [0, 1)")
+        if self.checkpoint_interval < 0:
+            raise ConfigError("checkpoint_interval must be >= 0")
+        check_schedule(self.learning_rate, self.warmup_fraction, self.weight_decay)
         self.masking.validate()
         if self.encoder is not None:
             self.encoder.validate()
@@ -140,9 +141,9 @@ def mlm_loss(masked: MaskedBatch, weights: WeightStore):
 
 
 def mlm_step_grads(masked: MaskedBatch, weights: WeightStore, *,
-                   train: bool = False, rng: np.random.Generator | None = None,
+                   rng: np.random.Generator | None = None,
                    grads: dict[str, np.ndarray] | None = None):
-    """Forward + backward for one masked batch.
+    """Forward + backward for one masked batch; an rng turns dropout on.
 
     The encoder's last layer computes only at the masked positions.
     Returns (loss, accuracy, grads). Gradients cover every core tensor,
@@ -159,8 +160,8 @@ def mlm_step_grads(masked: MaskedBatch, weights: WeightStore, *,
         accuracy = float((logits.argmax(axis=1) == targets).mean()) if targets.size else 0.0
         return (loss, accuracy), d_hidden, {"embeddings.token": d_weight.T, "mlm.bias": d_bias}
 
-    (loss, accuracy), grads = train_step(weights, masked.inputs, head, grads, read=read,
-                                         train=train, rng=rng)
+    (loss, accuracy), grads = train_step(weights, masked.inputs, head, grads,
+                                         read=read, rng=rng)
     return loss, accuracy, grads
 
 
@@ -298,7 +299,7 @@ def train_mlm(corpus, config: PretrainConfig, vocab: Vocabulary,
         t0 = time.perf_counter()
         batch = [segments[i] for i in next(batches)]
         masked = apply_masking(batch, config.masking, vocab, rng=mask_rng)
-        loss, accuracy, _ = mlm_step_grads(masked, weights, train=True, rng=dropout_rng,
+        loss, accuracy, _ = mlm_step_grads(masked, weights, rng=dropout_rng,
                                            grads=opt.zero_grads())
         grad_norm = opt.checked_grad_norm(step, loss)
         lr = linear_schedule(step, config.steps, config.learning_rate, config.warmup_fraction)

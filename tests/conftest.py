@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from adaptlm.encoder import EncoderConfig, init_weights
 from adaptlm.vocab import Vocabulary, load_vocabulary_file
 
-MINI_VOCAB_PATH = "src/adaptlm/assets/vocab_cased_mini.txt"
+MINI_VOCAB_PATH = Path(__file__).resolve().parent.parent / "src/adaptlm/assets/vocab_cased_mini.txt"
 
 
 @pytest.fixture(scope="session")

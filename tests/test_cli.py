@@ -522,8 +522,8 @@ def test_sweep_checkpoint_axis_loads_unpadded_step_name(tmp_path, fixture_dir):
     (b"[recipe]\nner_train = abc\n", "[recipe] ner_train = 'abc' is not an integer"),
     (b"ner_train = 5\n", "no section headers"),
     (b"[recipe]\nentity_type = caf\xe9\n", "line 2 is not valid UTF-8"),
-    (b"[recipe]\nrequire_disjoint = maybe\n", "[recipe] require_disjoint = 'maybe' is not a boolean"),
-], ids=["bad-int", "no-section-header", "latin-1", "bad-bool"])
+    (b"[recipe]\ntwo_word_fraction = maybe\n", "[recipe] two_word_fraction = 'maybe' is not a number"),
+], ids=["bad-int", "no-section-header", "latin-1", "bad-float"])
 def test_malformed_recipe_is_config_error(tmp_path, capsys, content, message):
     recipe = tmp_path / "recipe.cfg"
     recipe.write_bytes(content)
@@ -844,6 +844,27 @@ def test_bad_setting_is_refused_before_a_checkpoint_is_read(tmp_path, fixture_di
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+@pytest.mark.parametrize("command, setting, message", [
+    ("finetune", "finetune.batch_size=0", "batch_size must be >= 1"),
+    ("finetune", "finetune.learning_rate=-1e-3", "learning_rate must be >= 0"),
+    ("finetune", "finetune.warmup_fraction=5.0", "warmup_fraction must lie in [0, 1)"),
+    ("finetune", "finetune.weight_decay=-0.01", "weight_decay must be >= 0"),
+    ("pretrain", "pretrain.learning_rate=-1e-4", "learning_rate must be >= 0"),
+    ("pretrain", "pretrain.weight_decay=-0.01", "weight_decay must be >= 0"),
+    ("pretrain", "pretrain.checkpoint_interval=-3", "checkpoint_interval must be >= 0"),
+], ids=["finetune-batch-size", "finetune-lr", "finetune-warmup", "finetune-decay",
+        "pretrain-lr", "pretrain-decay", "pretrain-checkpoint-interval"])
+def test_out_of_range_schedule_value_is_config_error(tmp_path, fixture_dir, capsys,
+                                                     command, setting, message, dry_run):
+    cfg = _write_config(tmp_path, fixture_dir)  # allow_nonstandard = true
+    argv = (command, "--config", str(cfg), "--out", str(tmp_path / "run"),
+            "--set", f"finetune.init={fixture_dir}/vocab.txt", "--set", setting)
+    assert run(*argv, *(("--dry-run",) if dry_run else ())) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_lenient_repairs_the_gold_file_in_both_evaluate_modes(tmp_path, fixture_dir):
     cfg, out, init = _pretrained(tmp_path, fixture_dir)
     assert run("finetune", "--config", str(cfg), "--out", str(out),
@@ -931,12 +952,10 @@ def test_unknown_task_is_config_error(tmp_path, fixture_dir, capsys, argv):
     ("domain_heads = 0", 2),
     ("distractor_heads = 0", 2),
     ("markers_per_class = 0", 2),
-    ("term_tails = -1", 2),
     ("sentences_per_document = -1", 2),
     ("ner_train = -1", 2),
     ("qa_bioasq_questions = -1", 2),
     ("two_word_fraction = 1.5", 2),
-    ("term_tails = 0", 0),
     ("qa_bioasq_questions = 0", 0),
 ])
 def test_recipe_bounds_exit_codes(tmp_path, capsys, line, code):

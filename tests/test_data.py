@@ -32,12 +32,9 @@ def test_parse_conll_bio_valid_but_bioes_strict_error():
         parse_conll(io.StringIO(text), scheme="bioes")
 
 
-def test_parse_conll_lenient_repairs_and_warns():
-    warnings = []
-    sentences = parse_conll(io.StringIO("WT1 B-Gene\n\n"), scheme="bioes",
-                            lenient=True, warn=warnings.append)
+def test_parse_conll_lenient_repairs_bioes():
+    sentences = parse_conll(io.StringIO("WT1 B-Gene\n\n"), scheme="bioes", lenient=True)
     assert sentences[0].tags == ("S-Gene",)
-    assert warnings
 
 
 def test_parse_conll_lenient_repairs_bio():
@@ -319,22 +316,6 @@ def test_fixture_domain_terms_absent_from_general_corpus(tmp_path):
     domain_terms = set(manifest["domain_terms"]["train"] + manifest["domain_terms"]["test"])
     assert domain_terms
     assert not domain_terms & general_words
-
-
-def test_fixture_explicit_domain_pool(tmp_path):
-    recipe = FixtureRecipe(domain_pool=("kinase", "braf"),
-                           general_documents=8, domain_documents=8)
-    manifest = generate_fixtures(recipe, 2, tmp_path)
-    general_words = set((tmp_path / "general_corpus.txt").read_text().split())
-    assert not {"kinase", "braf"} & general_words
-    domain_words = set((tmp_path / "domain_corpus.txt").read_text().split())
-    assert {"kinase", "braf"} & domain_words
-
-
-def test_fixture_overlapping_explicit_pools_rejected():
-    with pytest.raises(RecipeError, match="overlap"):
-        FixtureRecipe(general_pool=("kinase", "cell"),
-                      domain_pool=("kinase", "braf")).validate()
 
 
 def test_fixture_zero_sentences_writes_wellformed_files(tmp_path):

@@ -216,17 +216,38 @@ def test_forward_permutation_equivariance(tiny_config, rng):
     np.testing.assert_allclose(out[:, perm], out_perm, atol=1e-5)
 
 
-def test_dropout_requires_rng_and_is_seeded(tiny_config, toy_vocab):
+def test_dropout_comes_from_the_rng(tiny_config, toy_vocab):
+    """An rng turns dropout on, and one seed draws one set of masks."""
     cfg = EncoderConfig(**{**tiny_config.__dict__, "dropout": 0.2})
     store = init_weights(cfg)
     arrays = batch_arrays([encode_sequence("a b c d", None, toy_vocab, 8)])
-    with pytest.raises(InputError):
-        forward_arrays(store, *arrays, train=True)
-    h1 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(3))
-    h2 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(3))
-    h3 = forward_arrays(store, *arrays, train=True, rng=np.random.default_rng(4))
+    h1 = forward_arrays(store, *arrays, rng=np.random.default_rng(3))
+    h2 = forward_arrays(store, *arrays, rng=np.random.default_rng(3))
+    h3 = forward_arrays(store, *arrays, rng=np.random.default_rng(4))
     assert np.array_equal(h1, h2)
     assert not np.array_equal(h1, h3)
+    assert not np.array_equal(h1, forward_arrays(store, *arrays))
+
+
+def test_an_rng_at_dropout_zero_changes_nothing(tiny_weights, toy_vocab):
+    """At dropout 0 a forward or training step given an rng equals one
+    without, and draws nothing from it."""
+    assert tiny_weights.config.dropout == 0.0
+    batch = [encode_sequence(text, None, toy_vocab, 8) for text in ("a b c d", "e f")]
+    arrays = batch_arrays(batch)
+    rng = np.random.default_rng(3)
+    assert np.array_equal(forward_arrays(tiny_weights, *arrays, rng=rng),
+                          forward_arrays(tiny_weights, *arrays))
+    proj = np.random.default_rng(1).standard_normal((*arrays[0].shape, 8))
+
+    def head(hidden):
+        return float((hidden * proj).sum()), proj, {}
+    loss, grads = train_step(tiny_weights, batch, head, rng=rng)
+    loss_none, grads_none = train_step(tiny_weights, batch, head)
+    assert loss == loss_none
+    for name, grad in grads.items():
+        assert np.array_equal(grad, grads_none[name]), name
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
@@ -246,8 +267,7 @@ def test_gradients_match_finite_differences_quick(toy_vocab, dropout):
     proj[mask == 0] = 0.0
 
     def forward(w, **kwargs):
-        return forward_arrays(w, ids, segments, mask, train=True,
-                              rng=np.random.default_rng(5), **kwargs)
+        return forward_arrays(w, ids, segments, mask, rng=np.random.default_rng(5), **kwargs)
 
     def loss(w):
         return float((forward(w) * proj).sum())
@@ -329,8 +349,7 @@ def test_an_mlm_batch_with_no_masked_position_scores_zero(toy_vocab):
     batch = [encode_sequence(text, None, toy_vocab, 10) for text in ("a b c d e f", "a b")]
     labels = np.full((2, 10), IGNORE_LABEL)
     masked = MaskedBatch(batch, labels, np.argwhere(labels != IGNORE_LABEL))
-    loss, accuracy, grads = mlm_step_grads(masked, weights, train=True,
-                                           rng=np.random.default_rng(1))
+    loss, accuracy, grads = mlm_step_grads(masked, weights, rng=np.random.default_rng(1))
     assert (loss, accuracy) == (0.0, 0.0)
     for name, grad in grads.items():
         assert np.isfinite(grad).all() and not grad.any(), name
@@ -355,7 +374,7 @@ def test_train_step_with_a_read_mask_matches_finite_differences(toy_vocab, dropo
     proj = np.random.default_rng(1).standard_normal((*read.shape, cfg.hidden))
 
     def loss(w):
-        return float((forward_arrays(w, *arrays, read=read, train=True,
+        return float((forward_arrays(w, *arrays, read=read,
                                      rng=np.random.default_rng(5)) * proj).sum())
 
     _, grads = train_step(weights, batch, lambda hidden: (float((hidden * proj).sum()), proj, {}),

@@ -59,7 +59,7 @@ def bench_weights_hash(steps=2):
     opt = AdamW(weights, expected_shapes(weights.config))
     rng = np.random.default_rng(7)
     for step in range(steps):
-        mlm_step_grads(bench_batch(step), weights, train=True, rng=rng, grads=opt.zero_grads())
+        mlm_step_grads(bench_batch(step), weights, rng=rng, grads=opt.zero_grads())
         opt.step(1e-3)
     digest = hashlib.sha256()
     for name in sorted(weights.tensors):
@@ -69,7 +69,7 @@ def bench_weights_hash(steps=2):
 
 def mlm_step(weights, masked, rng=None):
     """(loss, grads) of one training-mode MLM step, with fresh grads."""
-    loss, _, grads = mlm_step_grads(masked, weights, train=True, rng=rng)
+    loss, _, grads = mlm_step_grads(masked, weights, rng=rng)
     return loss, grads
 
 

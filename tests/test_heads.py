@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptlm.data import LabeledSentence, QAExample, RelationExample, RelationLabelSet
-from adaptlm import heads
+from adaptlm import encoder, heads
 from adaptlm.encoder import (EncoderConfig, forward_arrays, init_head, init_weights,
                              train_step)
 from adaptlm.errors import ConfigError, InputError, NoAnswerError, TransferError
@@ -448,13 +448,13 @@ def test_train_step_head_gradients_match_finite_differences(ft_vocab, task):
     encodings, targets = zip(*spec.prepare(data, ft_vocab, _ft_config(max_len=max_len), space))
     store.tensors.update(init_head(cfg, task, spec.width(space), seed=9))
     weights = store.astype(np.float64)
-    head = spec.head(weights, task, encodings, targets)
-    _, grads = train_step(weights, encodings, head, train=False)
+    read, head = spec.head(weights, task, encodings, targets)
+    _, grads = train_step(weights, encodings, head, read=read)
     assert set(grads) == set(weights.tensors)
     arrays = batch_arrays(encodings)
 
     def loss():
-        return head(forward_arrays(weights, *arrays))[0]
+        return head(forward_arrays(weights, *arrays, read=read))[0]
 
     step = 1e-3
     for name, analytic in grads.items():
@@ -517,7 +517,8 @@ def test_predict_qa_batches_windows_across_examples(ft_vocab, ft_init, monkeypat
     for ex_windows in windows:
         candidates = []
         for window in ex_windows:
-            alone = forward_arrays(weights, *batch_arrays([window]))
+            alone = forward_arrays(weights, *batch_arrays([window]),
+                                   read=admissible_positions(window)[None])
             logits = head_logits(alone, weights, "qa", 2)[0]
             assert logits.shape == (config.max_len, 2)
             np.testing.assert_allclose(next(batched_rows), logits, rtol=1e-5, atol=1e-5)
@@ -527,6 +528,55 @@ def test_predict_qa_batches_windows_across_examples(ft_vocab, ft_init, monkeypat
         expected.append(_merged_answers(candidates, config.n_best))
     assert predicted == expected
     assert all(answers for answers in expected)
+
+
+def test_qa_runs_the_last_layer_at_admissible_positions_only(ft_vocab, ft_init, monkeypatch):
+    """QA training and predict_qa read the admissible positions, so the last
+    layer computes there only, and they score as forwards that read every
+    position do."""
+    weights = ft_init.clone()
+    weights.tensors.update(init_head(weights.config, "qa", 2, seed=7))
+    config = _ft_config(max_len=12, doc_stride=2, n_best=3, max_answer_subtokens=4)
+    kept = []  # the last layer's keep mask of each forward
+
+    def recording_forward(*args, **kwargs):
+        states, cache = forward_arrays(*args, **{**kwargs, "return_cache": True})
+        kept.append(cache["keep"])
+        return (states, cache) if kwargs.get("return_cache") else states
+
+    def reading_every_position(*args, read, **kwargs):
+        return forward_arrays(*args, **kwargs)
+
+    spec = heads.TASKS["qa"]
+    encodings, targets = zip(*spec.prepare(_qa_fixture(4), ft_vocab, config, None))
+    read, head = spec.head(weights, "qa", encodings, targets)
+    admissible = np.stack([admissible_positions(e) for e in encodings])
+    assert np.array_equal(read, admissible)
+    assert 0 < admissible.sum() < batch_arrays(encodings)[2].sum()
+    monkeypatch.setattr(encoder, "forward_arrays", recording_forward)
+    loss, grads = train_step(weights, encodings, head, read=read)
+    monkeypatch.undo()
+    [keep] = kept
+    assert keep.sum() == admissible.sum()
+    full_loss, full_grads = train_step(weights, encodings, head)
+    assert loss == pytest.approx(full_loss, rel=1e-6)
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, full_grads[name], rtol=1e-4, atol=1e-7, err_msg=name)
+
+    words = ["aa", "ab", "bb", "abc", "cc", "dd"]
+    examples = [QAExample(f"q{n}", "a b ?", " ".join(words[k % 6] for k in range(n)))
+                for n in (3, 40, 9)]
+    windows = [w for ex in examples
+               for w in encode_windows(ex.question, ex.passage, ft_vocab, config.max_len,
+                                       config.doc_stride)]
+    kept.clear()
+    monkeypatch.setattr(heads, "forward_arrays", recording_forward)
+    predicted = predict_qa(weights, examples, ft_vocab, config)
+    assert sum(int(keep.sum()) for keep in kept) == sum(
+        int(admissible_positions(w).sum()) for w in windows)
+    monkeypatch.setattr(heads, "forward_arrays", reading_every_position)
+    assert predicted == predict_qa(weights, examples, ft_vocab, config)
+    assert all(predicted)
 
 
 def test_finetune_qa_learns_toy_task(ft_vocab, ft_init):

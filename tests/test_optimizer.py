@@ -134,7 +134,7 @@ def test_reference_shape_step_faults_in_no_pages_after_warm_up(mini_vocab):
     def step(i):
         batch = [segments[(16 * i + k) % len(segments)] for k in range(16)]
         masked = apply_masking(batch, policy, mini_vocab, rng=rng)
-        loss, _, _ = mlm_step_grads(masked, store, train=True, rng=dropout_rng,
+        loss, _, _ = mlm_step_grads(masked, store, rng=dropout_rng,
                                     grads=opt.zero_grads())
         opt.checked_grad_norm(i, loss)
         opt.step(1e-4)

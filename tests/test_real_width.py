@@ -38,7 +38,8 @@ def _task_batch(task, weights, vocab, data=DATA, max_len=MAX_LEN):
     spec = TASKS[task]
     weights.tensors.update(init_head(weights.config, task, spec.width(space), seed=3))
     encodings, targets = zip(*spec.prepare(data, vocab, FinetuneConfig(max_len=max_len), space))
-    return encodings, spec.head(weights, task, encodings, targets)
+    _, head = spec.head(weights, task, encodings, targets)
+    return encodings, head
 
 
 def _loss_and_grads(task, weights, vocab, max_len):
@@ -57,7 +58,7 @@ def _loss_and_grads(task, weights, vocab, max_len):
         loss, _, grads = mlm_step_grads(masked, weights)
         return loss, grads
     encodings, head = _task_batch(task, weights, vocab, max_len=max_len)
-    return train_step(weights, encodings, head, train=False)
+    return train_step(weights, encodings, head)
 
 
 def test_plan_width_is_one_past_the_last_real_column(toy_vocab):
@@ -184,7 +185,7 @@ def test_packed_batch_equals_each_row_alone(task, tiny_weights, toy_vocab):
     np.testing.assert_allclose(states[real], alone[real], rtol=1e-5, atol=1e-6)
     assert (states[~real] == 0).all()  # the mask is a prefix, so padding is outside every span
 
-    loss, grads = train_step(tiny_weights, encodings, head, train=False)
+    loss, grads = train_step(tiny_weights, encodings, head)
     assert loss == pytest.approx(alone_loss, rel=1e-6)
     assert grads.keys() == alone_grads.keys()
     for name, grad in grads.items():
